@@ -115,9 +115,17 @@ pub fn parse_dimacs_max_flow(text: &str) -> Result<MaxFlowInstance, DimacsError>
                     line: lineno,
                     reason: "bad vertex id".into(),
                 })?;
+                // Ids are 1-based; the range check against N waits for
+                // the end, since `n` lines may precede the `p` line.
+                let Some(vertex) = id.checked_sub(1) else {
+                    return Err(DimacsError::Malformed {
+                        line: lineno,
+                        reason: "vertex id out of range".into(),
+                    });
+                };
                 match fields[2] {
-                    "s" => source = Some(id - 1),
-                    "t" => sink = Some(id - 1),
+                    "s" => source = Some((vertex, lineno)),
+                    "t" => sink = Some((vertex, lineno)),
                     other => {
                         return Err(DimacsError::Malformed {
                             line: lineno,
@@ -147,6 +155,7 @@ pub fn parse_dimacs_max_flow(text: &str) -> Result<MaxFlowInstance, DimacsError>
                         reason: "vertex id out of range".into(),
                     });
                 }
+                check_arc(lineno, u, v, cap)?;
                 g.add_edge(u as usize - 1, v as usize - 1, cap, 0);
             }
             other => {
@@ -158,14 +167,42 @@ pub fn parse_dimacs_max_flow(text: &str) -> Result<MaxFlowInstance, DimacsError>
         }
     }
     let graph = graph.ok_or(DimacsError::MissingProblemLine)?;
-    match (source, sink) {
-        (Some(s), Some(t)) => Ok(MaxFlowInstance {
-            graph,
-            source: s,
-            sink: t,
-        }),
-        _ => Err(DimacsError::MissingTerminals),
+    let ((s, s_line), (t, t_line)) = source.zip(sink).ok_or(DimacsError::MissingTerminals)?;
+    for (v, line) in [(s, s_line), (t, t_line)] {
+        if v >= graph.n() {
+            return Err(DimacsError::Malformed {
+                line,
+                reason: "vertex id out of range".into(),
+            });
+        }
     }
+    if s == t {
+        return Err(DimacsError::Malformed {
+            line: s_line.max(t_line),
+            reason: "source and sink are the same vertex".into(),
+        });
+    }
+    Ok(MaxFlowInstance {
+        graph,
+        source: s,
+        sink: t,
+    })
+}
+
+/// Rejects the arcs [`DiGraph::add_edge`] would panic on: self-loops and
+/// negative capacities (endpoints are range-checked by the caller).
+fn check_arc(line: usize, u: i64, v: i64, cap: i64) -> Result<(), DimacsError> {
+    let reason = if u == v {
+        "self-loop arc"
+    } else if cap < 0 {
+        "negative capacity"
+    } else {
+        return Ok(());
+    };
+    Err(DimacsError::Malformed {
+        line,
+        reason: reason.into(),
+    })
 }
 
 /// Renders a max-flow instance in DIMACS format.
@@ -210,7 +247,10 @@ pub fn parse_dimacs_min_cost_flow(text: &str) -> Result<MinCostFlowInstance, Dim
                         reason: "expected `p min N M`".into(),
                     });
                 }
-                let n = parse(fields[2])? as usize;
+                let n = usize::try_from(parse(fields[2])?).map_err(|_| DimacsError::Malformed {
+                    line: lineno,
+                    reason: "bad vertex count".into(),
+                })?;
                 graph = Some(DiGraph::new(n));
                 sigma = vec![0; n];
             }
@@ -254,6 +294,7 @@ pub fn parse_dimacs_min_cost_flow(text: &str) -> Result<MinCostFlowInstance, Dim
                         reason: "vertex id out of range".into(),
                     });
                 }
+                check_arc(lineno, u as i64, v as i64, cap)?;
                 g.add_edge(u - 1, v - 1, cap, cost);
             }
             other => {
@@ -347,6 +388,54 @@ mod tests {
         assert!(matches!(
             parse_dimacs_min_cost_flow("p min 2 1\na 1 2 1 4 2\n").unwrap_err(),
             DimacsError::UnsupportedLowerBound { line: 2 }
+        ));
+    }
+
+    fn malformed_line(text: &str) -> usize {
+        match parse_dimacs_max_flow(text) {
+            Err(DimacsError::Malformed { line, .. }) => line,
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_terminal_id_zero() {
+        // Ids are 1-based: 0 names no vertex.
+        assert_eq!(malformed_line("p max 2 1\nn 0 s\nn 2 t\na 1 2 4\n"), 2);
+        assert_eq!(malformed_line("p max 2 1\nn 1 s\nn 0 t\na 1 2 4\n"), 3);
+    }
+
+    #[test]
+    fn rejects_terminal_id_above_vertex_count() {
+        assert_eq!(malformed_line("p max 2 1\nn 1 s\nn 3 t\na 1 2 4\n"), 3);
+        // Terminal lines may precede the problem line.
+        assert_eq!(malformed_line("n 9 s\np max 2 1\nn 2 t\na 1 2 4\n"), 1);
+    }
+
+    #[test]
+    fn rejects_negative_capacity() {
+        assert_eq!(malformed_line("p max 2 1\nn 1 s\nn 2 t\na 1 2 -4\n"), 4);
+        assert!(matches!(
+            parse_dimacs_min_cost_flow("p min 2 1\na 1 2 0 -4 1\n").unwrap_err(),
+            DimacsError::Malformed { line: 2, .. }
+        ));
+    }
+
+    #[test]
+    fn rejects_source_equal_to_sink() {
+        assert_eq!(malformed_line("p max 2 1\nn 1 s\nn 1 t\na 1 2 4\n"), 3);
+    }
+
+    #[test]
+    fn rejects_self_loops_and_negative_vertex_counts() {
+        assert_eq!(malformed_line("p max 2 1\nn 1 s\nn 2 t\na 2 2 4\n"), 4);
+        assert!(matches!(
+            parse_dimacs_min_cost_flow("p min 2 1\na 1 1 0 4 1\n").unwrap_err(),
+            DimacsError::Malformed { line: 2, .. }
+        ));
+        assert!(matches!(
+            parse_dimacs_min_cost_flow("p min -1 0\n").unwrap_err(),
+            DimacsError::Malformed { line: 1, .. }
         ));
     }
 

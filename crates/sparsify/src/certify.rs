@@ -8,7 +8,9 @@
 //! `[1/α, α]`.
 
 use cc_graph::Graph;
-use cc_linalg::{laplacian_from_edges, symmetric_eigen, DenseMatrix, LinalgError};
+use cc_linalg::{
+    laplacian_from_edges, symmetric_eigen, symmetric_eigenvalues, DenseMatrix, LinalgError,
+};
 
 use crate::SpectralSparsifier;
 
@@ -117,10 +119,10 @@ pub fn generalized_eigen_bounds(
         .transpose()
         .matmul(&la.matmul(&w).expect("shape"))
         .expect("shape");
-    let ec = symmetric_eigen(&c)?;
+    let ec = symmetric_eigenvalues(&c)?;
     Ok(CertifiedBounds {
-        min: ec.eigenvalues()[0],
-        max: *ec.eigenvalues().last().expect("nonempty range"),
+        min: ec[0],
+        max: *ec.last().expect("nonempty range"),
     })
 }
 

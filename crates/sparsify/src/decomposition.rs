@@ -2,16 +2,19 @@
 //!
 //! Substitute for the \[CS20\] black box of Theorem 3.2 (see `DESIGN.md`
 //! §2.1): a recursive spectral partitioner. For the current vertex set we
-//! compute the exact second eigenpair of the weighted normalized Laplacian
-//! with the dense symmetric eigensolver, try all sweep cuts of the exact
-//! eigenvector, and split when the best sweep cut has weighted conductance
-//! below `phi`; otherwise the cluster is final and — because the
-//! eigenvector is exact — carries a *certificate* `µ₂ ≥ φ²/2 > 0` (we
-//! record the exact `µ₂` and `µ_max`, which is strictly stronger than the
-//! conductance guarantee the paper consumes downstream).
+//! compute the exact spectrum of the weighted normalized Laplacian with
+//! the dense symmetric eigensolver. If `µ₂ > 2φ`, the easy direction of
+//! Cheeger's inequality (every cut has conductance `≥ µ₂/2`) already
+//! certifies the piece, so no eigenvector is computed. Otherwise we
+//! compute the exact Fiedler vector, try all its sweep cuts, and split
+//! when the best sweep cut has weighted conductance below `phi`; if none
+//! does, the cluster is final and — because the eigenvector is exact —
+//! carries a *certificate* `µ₂ ≥ φ²/2 > 0`. Either way we record the exact
+//! `µ₂` and `µ_max`, which is strictly stronger than the conductance
+//! guarantee the paper consumes downstream.
 
 use cc_graph::{EdgeId, Graph, VertexId};
-use cc_linalg::{normalized_laplacian_dense, symmetric_eigen, LinalgError};
+use cc_linalg::{normalized_laplacian_dense, symmetric_eigen, symmetric_eigenvalues, LinalgError};
 
 /// A final cluster of the decomposition with its exact spectral certificate.
 #[derive(Debug, Clone)]
@@ -110,7 +113,9 @@ pub fn default_phi(g: &Graph) -> f64 {
 ///   exact spectral gap `µ₂` (> 0);
 /// * a cluster is only accepted when no sweep cut of its exact Fiedler
 ///   vector has weighted conductance below `phi`, which by the sweep-cut
-///   (Cheeger) inequality certifies `µ₂ ≥ φ²/2`;
+///   (Cheeger) inequality certifies `µ₂ ≥ φ²/2`; when `µ₂ > 2φ` the
+///   vector is not computed, because then no cut at all has conductance
+///   below `µ₂/2 > φ` and the sweep could not have split the cluster;
 /// * crossing edges are exactly the edges whose endpoints lie in different
 ///   clusters.
 ///
@@ -196,10 +201,9 @@ fn process_piece(g: &Graph, vertices: &[VertexId], phi: f64) -> Result<PieceOutc
         ));
     }
     let nl = normalized_laplacian_dense(sub.n(), &sub.edge_triples());
-    let eig = symmetric_eigen(&nl)?;
-    let mu2 = eig.eigenvalues()[1];
-    let mu_max = *eig
-        .eigenvalues()
+    let spectrum = symmetric_eigenvalues(&nl)?;
+    let mu2 = spectrum[1];
+    let mu_max = *spectrum
         .last()
         .expect("nonempty spectrum for nonempty cluster");
     if mu2 <= 1e-12 {
@@ -213,8 +217,17 @@ fn process_piece(g: &Graph, vertices: &[VertexId], phi: f64) -> Result<PieceOutc
         }
         return Ok(PieceOutcome::Split(pieces));
     }
+    let certified = || {
+        let mut cl = finish_cluster(g, vertices.to_vec());
+        cl.mu2 = mu2;
+        cl.mu_max = mu_max;
+        PieceOutcome::Clusters(vec![cl])
+    };
+    if gap_certifies_expander(mu2, phi) {
+        return Ok(certified());
+    }
     // Sweep the exact Fiedler vector in the degree-weighted embedding.
-    let fiedler = eig.eigenvector(1);
+    let fiedler = symmetric_eigen(&nl)?.eigenvector(1);
     Ok(match best_sweep_cut(&sub, &fiedler) {
         Some((cut_conductance, side)) if cut_conductance < phi => {
             let (mut left, mut right) = (Vec::new(), Vec::new());
@@ -227,14 +240,29 @@ fn process_piece(g: &Graph, vertices: &[VertexId], phi: f64) -> Result<PieceOutc
             }
             PieceOutcome::Split(vec![left, right])
         }
-        _ => {
-            // Certified expander: record exact spectral bounds.
-            let mut cl = finish_cluster(g, vertices.to_vec());
-            cl.mu2 = mu2;
-            cl.mu_max = mu_max;
-            PieceOutcome::Clusters(vec![cl])
-        }
+        // Certified expander: record exact spectral bounds.
+        _ => certified(),
     })
+}
+
+/// Relative safety margin of the Cheeger fast path: see
+/// [`gap_certifies_expander`].
+const CHEEGER_MARGIN: f64 = 1e-6;
+
+/// True when the spectral gap alone proves that no sweep cut can have
+/// conductance below `phi`, so the Fiedler vector need not be computed.
+///
+/// The easy direction of Cheeger's inequality gives every cut `S` of a
+/// graph `Φ(S) ≥ µ₂/2` for the normalized Laplacian's `µ₂` (test the
+/// Rayleigh quotient on the `D^{1/2}`-weighted, centred indicator of
+/// `S`), so
+/// `µ₂ > 2φ` rules out every cut below `φ`, sweep cuts included. The
+/// margin keeps the fast path clear of the rounding error in the computed
+/// `µ₂` and in the sweep's incremental cut sums, so it accepts only pieces
+/// the sweep would also accept; accepted gaps in practice clear `2φ` by
+/// an order of magnitude.
+fn gap_certifies_expander(mu2: f64, phi: f64) -> bool {
+    mu2 > 2.0 * phi * (1.0 + CHEEGER_MARGIN)
 }
 
 /// Connected components of the subgraph induced on `vertices` (global ids),
@@ -442,6 +470,124 @@ mod tests {
         let g = generators::grid(6, 6);
         let dec = expander_decompose(&g, 0.45).unwrap();
         assert!(dec.clusters.len() > 1, "grid should not be a 0.45-expander");
+    }
+
+    /// The decomposition without the Cheeger fast path: every piece with
+    /// `µ₂ > 1e-12` is decided by the sweep of its exact Fiedler vector.
+    /// Returns the clusters (sorted as `expander_decompose` sorts them).
+    fn sweep_only_decompose(g: &Graph, phi: f64) -> Vec<Cluster> {
+        let mut clusters = Vec::new();
+        let mut pending = split_components(g, &(0..g.n()).collect::<Vec<_>>());
+        while let Some(piece) = pending.pop() {
+            let (sub, map) = g.induced(&piece);
+            if piece.len() <= 2 || sub.m() == 0 {
+                match process_piece(g, &piece, phi).unwrap() {
+                    PieceOutcome::Clusters(cs) => clusters.extend(cs),
+                    PieceOutcome::Split(_) => unreachable!("small pieces are final"),
+                }
+                continue;
+            }
+            let nl = normalized_laplacian_dense(sub.n(), &sub.edge_triples());
+            let eig = symmetric_eigen(&nl).unwrap();
+            let mu2 = eig.eigenvalues()[1];
+            if mu2 <= 1e-12 {
+                pending.extend(split_components(g, &piece));
+                continue;
+            }
+            match best_sweep_cut(&sub, &eig.eigenvector(1)) {
+                Some((cond, side)) if cond < phi => {
+                    let (mut left, mut right) = (Vec::new(), Vec::new());
+                    for (local, &global) in map.iter().enumerate() {
+                        if side[local] {
+                            left.push(global);
+                        } else {
+                            right.push(global);
+                        }
+                    }
+                    pending.push(left);
+                    pending.push(right);
+                }
+                _ => {
+                    let mut cl = finish_cluster(g, piece);
+                    cl.mu2 = mu2;
+                    cl.mu_max = eig.largest().unwrap();
+                    clusters.push(cl);
+                }
+            }
+        }
+        clusters.sort_by(|a, b| a.vertices.cmp(&b.vertices));
+        clusters
+    }
+
+    /// Every cluster the fast path accepted has no sweep cut below `phi`
+    /// under its exact Fiedler vector, and the whole decomposition equals
+    /// the sweep-only one bit for bit. Returns how many clusters took the
+    /// fast path.
+    fn assert_fast_path_matches_sweep(g: &Graph, phi: f64) -> usize {
+        let dec = expander_decompose(g, phi).unwrap();
+        let mut fast = 0;
+        for cl in dec.clusters.iter().filter(|c| c.len() > 2) {
+            if !gap_certifies_expander(cl.mu2, phi) {
+                continue;
+            }
+            fast += 1;
+            let (sub, _) = g.induced(&cl.vertices);
+            let nl = normalized_laplacian_dense(sub.n(), &sub.edge_triples());
+            let eig = symmetric_eigen(&nl).unwrap();
+            assert_eq!(eig.eigenvalues()[1].to_bits(), cl.mu2.to_bits());
+            assert_eq!(eig.largest().unwrap().to_bits(), cl.mu_max.to_bits());
+            let (cond, _) = best_sweep_cut(&sub, &eig.eigenvector(1)).unwrap();
+            assert!(
+                cond >= phi,
+                "fast path accepted a sweep cut {cond} < φ = {phi}"
+            );
+        }
+        let reference = sweep_only_decompose(g, phi);
+        assert_eq!(dec.clusters.len(), reference.len());
+        for (got, want) in dec.clusters.iter().zip(&reference) {
+            assert_eq!(got.vertices, want.vertices);
+            assert_eq!(got.edges, want.edges);
+            assert_eq!(got.mu2.to_bits(), want.mu2.to_bits());
+            assert_eq!(got.mu_max.to_bits(), want.mu_max.to_bits());
+        }
+        fast
+    }
+
+    #[test]
+    fn cheeger_fast_path_agrees_with_the_sweep() {
+        let cases = [
+            (generators::barbell(6), None),
+            (generators::barbell(9), Some(0.2)),
+            (generators::grid(6, 6), None),
+            (generators::grid(6, 6), Some(0.45)),
+            (generators::cycle(10), Some(0.01)),
+            (generators::expander(32), None),
+            (generators::expander(64), None),
+            (generators::random_connected(40, 60, 4, 3), None),
+            (generators::random_connected(30, 80, 2, 9), Some(0.3)),
+            (generators::random_connected(48, 300, 16, 5), None),
+        ];
+        let mut fast = 0;
+        for (g, phi) in &cases {
+            fast += assert_fast_path_matches_sweep(g, phi.unwrap_or_else(|| default_phi(g)));
+        }
+        assert!(fast > 0, "no case exercised the fast path");
+    }
+
+    #[test]
+    fn cheeger_fast_path_borderline_runs_both_branches() {
+        let g = generators::expander(32);
+        let nl = normalized_laplacian_dense(g.n(), &g.edge_triples());
+        let mu2 = symmetric_eigenvalues(&nl).unwrap()[1];
+        // φ just below µ₂/2: the gap certifies the whole graph.
+        let below = mu2 / 2.0 * (1.0 - 1e-4);
+        assert!(gap_certifies_expander(mu2, below));
+        assert_eq!(assert_fast_path_matches_sweep(&g, below), 1);
+        // φ just above µ₂/2: the gap proves nothing, so the Fiedler sweep
+        // decides, exactly as before.
+        let above = mu2 / 2.0 * (1.0 + 1e-4);
+        assert!(!gap_certifies_expander(mu2, above));
+        assert_fast_path_matches_sweep(&g, above);
     }
 
     #[test]

@@ -1,12 +1,13 @@
 //! The level-by-level deterministic spectral sparsifier of Theorem 3.3.
 
-use cc_graph::Graph;
+use cc_graph::{EdgeId, Graph};
 use cc_linalg::{laplacian_from_edges, GroundedCholesky, LinalgError, SolveScratch};
 use cc_model::Communicator;
 
 use crate::decomposition::{default_phi, expander_decompose};
 use crate::error::SparsifyError;
 use crate::gadget::{intra_cluster_degrees, ClusterGadget};
+use crate::template::{ClusterTemplate, LevelTemplate};
 
 /// Tuning knobs of [`build_sparsifier`].
 #[derive(Debug, Clone, Copy)]
@@ -266,6 +267,18 @@ pub fn build_sparsifier<C: Communicator>(
     g: &Graph,
     params: &SparsifyParams,
 ) -> Result<SpectralSparsifier, SparsifyError> {
+    build_levels(clique, g, params).map(|(sparsifier, _)| sparsifier)
+}
+
+/// The level loop behind [`build_sparsifier`], which also records each
+/// level's cluster structure, in original edge ids, for
+/// [`crate::SparsifierTemplate`]. The record costs no communication and
+/// no decomposition work.
+pub(crate) fn build_levels<C: Communicator>(
+    clique: &mut C,
+    g: &Graph,
+    params: &SparsifyParams,
+) -> Result<(SpectralSparsifier, Vec<LevelTemplate>), SparsifyError> {
     assert!(
         clique.n() >= g.n(),
         "clique has {} nodes but the graph needs {}",
@@ -287,12 +300,19 @@ pub fn build_sparsifier<C: Communicator>(
         let mut aux_count = 0usize;
         let mut alpha: f64 = 1.0;
         let mut levels = 0usize;
+        let mut captured = Vec::new();
+        // The original id of each `remaining` edge id.
+        let mut id_map: Vec<EdgeId> = (0..g.m()).collect();
         while remaining.m() > 0 {
             if levels >= max_levels {
                 // Correctness backstop: copy the leftovers verbatim.
                 for e in remaining.edges() {
                     edges.push((e.u, e.v, e.weight));
                 }
+                captured.push(LevelTemplate {
+                    gadget_clusters: Vec::new(),
+                    direct_edges: id_map,
+                });
                 break;
             }
             levels += 1;
@@ -350,30 +370,48 @@ pub fn build_sparsifier<C: Communicator>(
                     ))
                 }
             });
-            for item in work {
+            let mut level = LevelTemplate {
+                gadget_clusters: Vec::new(),
+                direct_edges: Vec::new(),
+            };
+            let original =
+                |ids: &[EdgeId]| -> Vec<EdgeId> { ids.iter().map(|&e| id_map[e]).collect() };
+            for (cluster, item) in dec.clusters.iter().zip(work) {
                 match item {
                     ClusterWork::Skip => {}
-                    ClusterWork::Direct(cluster_edges) => edges.extend(cluster_edges),
+                    ClusterWork::Direct(cluster_edges) => {
+                        edges.extend(cluster_edges);
+                        level.direct_edges.extend(original(&cluster.edges));
+                    }
                     ClusterWork::Gadget(gadget) => {
                         let center = n + aux_count;
                         aux_count += 1;
                         gadget.emit_edges(center, &mut edges);
                         alpha = alpha.max(gadget.alpha);
+                        level.gadget_clusters.push(ClusterTemplate {
+                            vertices: cluster.vertices.clone(),
+                            edges: original(&cluster.edges),
+                        });
                     }
                 }
             }
-            // Crossing edges fall through to the next level.
+            // Crossing edges fall through to the next level; the level
+            // graph keeps them in ascending id order, as `crossing_edges`
+            // lists them.
             let crossing: std::collections::BTreeSet<usize> =
                 dec.crossing_edges.iter().copied().collect();
             remaining = remaining.edge_subgraph(|e| crossing.contains(&e));
+            id_map = original(&dec.crossing_edges);
+            captured.push(level);
         }
-        Ok(SpectralSparsifier {
+        let sparsifier = SpectralSparsifier {
             n,
             aux_count,
             edges,
             alpha,
             levels,
-        })
+        };
+        Ok((sparsifier, captured))
     })
 }
 

@@ -8,8 +8,9 @@
 //! only the certified per-cluster `α` moves. A [`SparsifierTemplate`]
 //! freezes the cluster structure of one construction and
 //! [`SparsifierTemplate::instantiate`]s it for new weights by recomputing
-//! the per-cluster spectral certificates exactly (dense eigensolve, free
-//! local computation), skipping the recursive re-decomposition entirely.
+//! the per-cluster spectral certificates exactly (a values-only dense
+//! eigensolve, free local computation), skipping the recursive
+//! re-decomposition entirely.
 //!
 //! This is an *extension* beyond the paper (which rebuilds per solve,
 //! within its `n^{o(1)}` budget): correctness is unchanged — the
@@ -18,27 +19,27 @@
 //! the template's.
 
 use cc_graph::{EdgeId, Graph, VertexId};
-use cc_linalg::{normalized_laplacian_dense, symmetric_eigen};
+use cc_linalg::{normalized_laplacian_dense, symmetric_eigenvalues};
 use cc_model::Communicator;
 
 use crate::error::SparsifyError;
 use crate::gadget::ClusterGadget;
-use crate::sparsifier::{build_sparsifier, SparsifyParams, SpectralSparsifier};
+use crate::sparsifier::{build_levels, SparsifyParams, SpectralSparsifier};
 
 /// One frozen cluster: its vertices and its intra-cluster edge ids.
 #[derive(Debug, Clone)]
-struct ClusterTemplate {
-    vertices: Vec<VertexId>,
-    edges: Vec<EdgeId>,
+pub(crate) struct ClusterTemplate {
+    pub(crate) vertices: Vec<VertexId>,
+    pub(crate) edges: Vec<EdgeId>,
 }
 
 /// One frozen decomposition level.
 #[derive(Debug, Clone)]
-struct LevelTemplate {
+pub(crate) struct LevelTemplate {
     /// Clusters realized as star gadgets.
-    gadget_clusters: Vec<ClusterTemplate>,
+    pub(crate) gadget_clusters: Vec<ClusterTemplate>,
     /// Edges kept verbatim at this level (small clusters / backstop).
-    direct_edges: Vec<EdgeId>,
+    pub(crate) direct_edges: Vec<EdgeId>,
 }
 
 /// A frozen multi-level cluster structure, instantiable for any weight
@@ -122,9 +123,9 @@ impl SparsifierTemplate {
                     }
                     // Exact spectral recertification for the new weights.
                     let nl = normalized_laplacian_dense(k, &triples);
-                    let eig = symmetric_eigen(&nl)?;
-                    let mu2 = eig.eigenvalues()[1].max(1e-12);
-                    let mu_max = eig.eigenvalues().last().copied().unwrap_or(mu2).max(mu2);
+                    let spectrum = symmetric_eigenvalues(&nl)?;
+                    let mu2 = spectrum[1].max(1e-12);
+                    let mu_max = spectrum.last().copied().unwrap_or(mu2).max(mu2);
                     let gadget =
                         ClusterGadget::new(cluster.vertices.clone(), &degrees, mu2, mu_max);
                     let center = self.n + aux_count;
@@ -148,81 +149,23 @@ impl SparsifierTemplate {
 /// template of its cluster structure, for later
 /// [`SparsifierTemplate::instantiate`] calls on reweighted graphs.
 ///
-/// The sparsifier equals `build_sparsifier`'s (same rounds charged); the
-/// template adds no communication.
+/// The sparsifier equals [`build_sparsifier`](crate::build_sparsifier)'s
+/// (same rounds charged): the template is recorded inside the same level
+/// loop, so it adds no communication and no second decomposition.
 ///
 /// # Errors
 ///
-/// Same conditions as [`build_sparsifier`].
+/// Same conditions as [`build_sparsifier`](crate::build_sparsifier).
 ///
 /// # Panics
 ///
-/// Same conditions as [`build_sparsifier`].
+/// Same conditions as [`build_sparsifier`](crate::build_sparsifier).
 pub fn build_sparsifier_with_template<C: Communicator>(
     clique: &mut C,
     g: &Graph,
     params: &SparsifyParams,
 ) -> Result<(SpectralSparsifier, SparsifierTemplate), SparsifyError> {
-    // Re-run the level loop with structure capture. To avoid duplicating
-    // the construction logic, the capture reruns the decomposition exactly
-    // as `build_sparsifier` does (both are deterministic), recording the
-    // per-level assignments; the sparsifier itself comes from the
-    // canonical builder so the two can never drift apart.
-    let sparsifier = build_sparsifier(clique, g, params)?;
-
-    let phi = params
-        .phi
-        .unwrap_or_else(|| crate::decomposition::default_phi(g));
-    let max_levels = params
-        .max_levels
-        .unwrap_or_else(|| 2 * ((2.0 + g.total_weight()).log2().ceil() as usize) + 8);
-
-    let mut levels = Vec::new();
-    let mut remaining = g.clone();
-    // Map each level-graph edge id back to the original edge id.
-    let mut id_map: Vec<EdgeId> = (0..g.m()).collect();
-    let mut level_count = 0usize;
-    while remaining.m() > 0 {
-        if level_count >= max_levels {
-            // Backstop: leftovers become direct edges of a final level.
-            levels.push(LevelTemplate {
-                gadget_clusters: Vec::new(),
-                direct_edges: id_map.clone(),
-            });
-            break;
-        }
-        level_count += 1;
-        let dec = crate::decomposition::expander_decompose(&remaining, phi)?;
-        let mut level = LevelTemplate {
-            gadget_clusters: Vec::new(),
-            direct_edges: Vec::new(),
-        };
-        for cluster in &dec.clusters {
-            if cluster.edges.is_empty() {
-                continue;
-            }
-            let orig_edges: Vec<EdgeId> = cluster.edges.iter().map(|&e| id_map[e]).collect();
-            if cluster.edges.len() <= cluster.len() + params.direct_edge_slack {
-                level.direct_edges.extend(orig_edges);
-            } else {
-                level.gadget_clusters.push(ClusterTemplate {
-                    vertices: cluster.vertices.clone(),
-                    edges: orig_edges,
-                });
-            }
-        }
-        levels.push(level);
-        let crossing: std::collections::BTreeSet<usize> =
-            dec.crossing_edges.iter().copied().collect();
-        let mut next_map = Vec::with_capacity(crossing.len());
-        for &e in &dec.crossing_edges {
-            next_map.push(id_map[e]);
-        }
-        // Keep next_map aligned with edge_subgraph's insertion order
-        // (ascending edge id — crossing_edges is ascending).
-        remaining = remaining.edge_subgraph(|e| crossing.contains(&e));
-        id_map = next_map;
-    }
+    let (sparsifier, levels) = build_levels(clique, g, params)?;
     let template = SparsifierTemplate {
         n: g.n(),
         m: g.m(),
@@ -278,6 +221,41 @@ mod tests {
             );
             // The preconditioner remains usable.
             assert!(h.solver().is_ok());
+        }
+    }
+
+    #[test]
+    fn template_levels_partition_the_original_edges() {
+        // Every original edge lands in exactly one level, inside one
+        // cluster whose vertices hold both its endpoints — which pins the
+        // level-to-original edge id mapping below the first level.
+        let strict = SparsifyParams {
+            phi: Some(0.3),
+            ..Default::default()
+        };
+        for (g, params) in [
+            (generators::barbell(8), SparsifyParams::default()),
+            (generators::grid(6, 6), strict),
+        ] {
+            let mut clique = Clique::new(g.n());
+            let (h, template) = build_sparsifier_with_template(&mut clique, &g, &params).unwrap();
+            assert_eq!(template.levels(), h.levels());
+            assert!(template.levels() >= 2, "case must need several levels");
+            let mut seen = vec![0usize; g.m()];
+            for level in &template.levels {
+                for &e in &level.direct_edges {
+                    seen[e] += 1;
+                }
+                for cluster in &level.gadget_clusters {
+                    for &e in &cluster.edges {
+                        seen[e] += 1;
+                        let edge = g.edge(e);
+                        assert!(cluster.vertices.binary_search(&edge.u).is_ok());
+                        assert!(cluster.vertices.binary_search(&edge.v).is_ok());
+                    }
+                }
+            }
+            assert!(seen.iter().all(|&c| c == 1), "edge multiplicities {seen:?}");
         }
     }
 
