@@ -114,11 +114,6 @@ impl DiGraph {
         self.out_adj[v].len()
     }
 
-    /// In-degree of `v`.
-    pub fn in_degree(&self, v: VertexId) -> usize {
-        self.in_adj[v].len()
-    }
-
     /// Largest capacity `U` (`0` for the empty graph).
     pub fn max_capacity(&self) -> i64 {
         self.edges.iter().map(|e| e.capacity).max().unwrap_or(0)
@@ -127,11 +122,6 @@ impl DiGraph {
     /// Largest absolute cost `W` (`0` for the empty graph).
     pub fn max_abs_cost(&self) -> i64 {
         self.edges.iter().map(|e| e.cost.abs()).max().unwrap_or(0)
-    }
-
-    /// Sum of absolute costs `‖c‖₁` (used by the CMSV initialization).
-    pub fn cost_l1(&self) -> i64 {
-        self.edges.iter().map(|e| e.cost.abs()).sum()
     }
 
     /// Checks a flow vector for capacity feasibility and conservation with
@@ -221,11 +211,10 @@ mod tests {
     fn adjacency_structure() {
         let g = diamond();
         assert_eq!(g.out_degree(0), 2);
-        assert_eq!(g.in_degree(3), 2);
+        assert_eq!(g.in_edges(3).len(), 2);
         assert_eq!(g.out_edges(0), &[0, 1]);
         assert_eq!(g.max_capacity(), 2);
         assert_eq!(g.max_abs_cost(), 3);
-        assert_eq!(g.cost_l1(), 6);
     }
 
     #[test]

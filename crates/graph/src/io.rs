@@ -1,10 +1,8 @@
 //! DIMACS-format graph I/O.
 //!
-//! Supports the classic DIMACS maximum-flow format (`p max N M`,
-//! `n <id> s|t`, `a <from> <to> <cap>`, 1-indexed) and its min-cost
-//! extension (`p min`, `a <from> <to> <low> <cap> <cost>`,
-//! `n <id> <supply>`), so instances from standard benchmark suites can be
-//! fed to the congested clique pipelines.
+//! Reads and writes the classic DIMACS maximum-flow format (`p max N M`,
+//! `n <id> s|t`, `a <from> <to> <cap>`, 1-indexed), so instances from
+//! standard benchmark suites can be fed to the max-flow pipeline.
 
 use std::error::Error;
 use std::fmt;
@@ -22,15 +20,6 @@ pub struct MaxFlowInstance {
     pub sink: usize,
 }
 
-/// A parsed DIMACS min-cost-flow instance.
-#[derive(Debug, Clone)]
-pub struct MinCostFlowInstance {
-    /// The digraph with capacities and costs (0-indexed).
-    pub graph: DiGraph,
-    /// Demand vector (`+supply` at sources, `−demand` at sinks).
-    pub sigma: Vec<i64>,
-}
-
 /// DIMACS parsing errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -46,11 +35,6 @@ pub enum DimacsError {
     },
     /// The instance lacks a source or sink designation (max-flow).
     MissingTerminals,
-    /// Lower bounds other than 0 are not supported (min-cost).
-    UnsupportedLowerBound {
-        /// 1-based line number.
-        line: usize,
-    },
 }
 
 impl fmt::Display for DimacsError {
@@ -61,20 +45,26 @@ impl fmt::Display for DimacsError {
                 write!(f, "malformed dimacs line {line}: {reason}")
             }
             DimacsError::MissingTerminals => write!(f, "instance lacks source/sink lines"),
-            DimacsError::UnsupportedLowerBound { line } => {
-                write!(f, "nonzero lower bound at line {line} is unsupported")
-            }
         }
     }
 }
 
 impl Error for DimacsError {}
 
+/// Largest `N` a `p max N M` line may declare. The graph is allocated
+/// as soon as the problem line is read, so an absurd count must be
+/// refused before it reaches [`DiGraph::new`]. 2²⁰ is far above the
+/// largest clique the pipelines simulate (n = 2048).
+const MAX_DIMACS_VERTICES: usize = 1 << 20;
+
 fn parse_fields(line: &str) -> Vec<&str> {
     line.split_whitespace().collect()
 }
 
 /// Parses a DIMACS max-flow instance from text.
+///
+/// The problem line may declare at most 2²⁰ vertices; a larger `N` is
+/// rejected as [`DimacsError::Malformed`] before anything is allocated.
 ///
 /// # Errors
 ///
@@ -102,6 +92,12 @@ pub fn parse_dimacs_max_flow(text: &str) -> Result<MaxFlowInstance, DimacsError>
                     line: lineno,
                     reason: "bad vertex count".into(),
                 })?;
+                if n > MAX_DIMACS_VERTICES {
+                    return Err(DimacsError::Malformed {
+                        line: lineno,
+                        reason: format!("vertex count above {MAX_DIMACS_VERTICES}"),
+                    });
+                }
                 graph = Some(DiGraph::new(n));
             }
             "n" => {
@@ -218,119 +214,6 @@ pub fn write_dimacs_max_flow(instance: &MaxFlowInstance) -> String {
     out
 }
 
-/// Parses a DIMACS min-cost-flow instance from text.
-///
-/// # Errors
-///
-/// [`DimacsError`] on malformed input or nonzero lower bounds.
-pub fn parse_dimacs_min_cost_flow(text: &str) -> Result<MinCostFlowInstance, DimacsError> {
-    let mut graph: Option<DiGraph> = None;
-    let mut sigma: Vec<i64> = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('c') {
-            continue;
-        }
-        let fields = parse_fields(line);
-        let parse = |s: &str| -> Result<i64, DimacsError> {
-            s.parse().map_err(|_| DimacsError::Malformed {
-                line: lineno,
-                reason: "bad number".into(),
-            })
-        };
-        match fields[0] {
-            "p" => {
-                if fields.len() != 4 || fields[1] != "min" {
-                    return Err(DimacsError::Malformed {
-                        line: lineno,
-                        reason: "expected `p min N M`".into(),
-                    });
-                }
-                let n = usize::try_from(parse(fields[2])?).map_err(|_| DimacsError::Malformed {
-                    line: lineno,
-                    reason: "bad vertex count".into(),
-                })?;
-                graph = Some(DiGraph::new(n));
-                sigma = vec![0; n];
-            }
-            "n" => {
-                if graph.is_none() {
-                    return Err(DimacsError::MissingProblemLine);
-                }
-                if fields.len() != 3 {
-                    return Err(DimacsError::Malformed {
-                        line: lineno,
-                        reason: "expected `n <id> <supply>`".into(),
-                    });
-                }
-                let id = parse(fields[1])? as usize;
-                if id < 1 || id > sigma.len() {
-                    return Err(DimacsError::Malformed {
-                        line: lineno,
-                        reason: "vertex id out of range".into(),
-                    });
-                }
-                sigma[id - 1] = parse(fields[2])?;
-            }
-            "a" => {
-                let g = graph.as_mut().ok_or(DimacsError::MissingProblemLine)?;
-                if fields.len() != 6 {
-                    return Err(DimacsError::Malformed {
-                        line: lineno,
-                        reason: "expected `a <from> <to> <low> <cap> <cost>`".into(),
-                    });
-                }
-                let (u, v) = (parse(fields[1])? as usize, parse(fields[2])? as usize);
-                let low = parse(fields[3])?;
-                let cap = parse(fields[4])?;
-                let cost = parse(fields[5])?;
-                if low != 0 {
-                    return Err(DimacsError::UnsupportedLowerBound { line: lineno });
-                }
-                if u < 1 || v < 1 || u > g.n() || v > g.n() {
-                    return Err(DimacsError::Malformed {
-                        line: lineno,
-                        reason: "vertex id out of range".into(),
-                    });
-                }
-                check_arc(lineno, u as i64, v as i64, cap)?;
-                g.add_edge(u - 1, v - 1, cap, cost);
-            }
-            other => {
-                return Err(DimacsError::Malformed {
-                    line: lineno,
-                    reason: format!("unknown line kind {other}"),
-                })
-            }
-        }
-    }
-    let graph = graph.ok_or(DimacsError::MissingProblemLine)?;
-    Ok(MinCostFlowInstance { graph, sigma })
-}
-
-/// Renders a min-cost-flow instance in DIMACS format.
-pub fn write_dimacs_min_cost_flow(instance: &MinCostFlowInstance) -> String {
-    let g = &instance.graph;
-    let mut out = String::new();
-    out.push_str(&format!("p min {} {}\n", g.n(), g.m()));
-    for (v, &s) in instance.sigma.iter().enumerate() {
-        if s != 0 {
-            out.push_str(&format!("n {} {}\n", v + 1, s));
-        }
-    }
-    for e in g.edges() {
-        out.push_str(&format!(
-            "a {} {} 0 {} {}\n",
-            e.from + 1,
-            e.to + 1,
-            e.capacity,
-            e.cost
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,16 +245,6 @@ mod tests {
     }
 
     #[test]
-    fn min_cost_roundtrip() {
-        let (g, sigma) = generators::bipartite_assignment(4, 2, 9, 1);
-        let instance = MinCostFlowInstance { graph: g, sigma };
-        let text = write_dimacs_min_cost_flow(&instance);
-        let parsed = parse_dimacs_min_cost_flow(&text).unwrap();
-        assert_eq!(parsed.sigma, instance.sigma);
-        assert_eq!(parsed.graph.edges(), instance.graph.edges());
-    }
-
-    #[test]
     fn rejects_malformed_input() {
         assert_eq!(
             parse_dimacs_max_flow("a 1 2 3\n").unwrap_err(),
@@ -385,10 +258,6 @@ mod tests {
             parse_dimacs_max_flow("p max 2 1\na 1 2 4\n").unwrap_err(),
             DimacsError::MissingTerminals
         );
-        assert!(matches!(
-            parse_dimacs_min_cost_flow("p min 2 1\na 1 2 1 4 2\n").unwrap_err(),
-            DimacsError::UnsupportedLowerBound { line: 2 }
-        ));
     }
 
     fn malformed_line(text: &str) -> usize {
@@ -415,10 +284,6 @@ mod tests {
     #[test]
     fn rejects_negative_capacity() {
         assert_eq!(malformed_line("p max 2 1\nn 1 s\nn 2 t\na 1 2 -4\n"), 4);
-        assert!(matches!(
-            parse_dimacs_min_cost_flow("p min 2 1\na 1 2 0 -4 1\n").unwrap_err(),
-            DimacsError::Malformed { line: 2, .. }
-        ));
     }
 
     #[test]
@@ -429,14 +294,15 @@ mod tests {
     #[test]
     fn rejects_self_loops_and_negative_vertex_counts() {
         assert_eq!(malformed_line("p max 2 1\nn 1 s\nn 2 t\na 2 2 4\n"), 4);
-        assert!(matches!(
-            parse_dimacs_min_cost_flow("p min 2 1\na 1 1 0 4 1\n").unwrap_err(),
-            DimacsError::Malformed { line: 2, .. }
-        ));
-        assert!(matches!(
-            parse_dimacs_min_cost_flow("p min -1 0\n").unwrap_err(),
-            DimacsError::Malformed { line: 1, .. }
-        ));
+        assert_eq!(malformed_line("p max -1 0\n"), 1);
+    }
+
+    #[test]
+    fn rejects_absurd_vertex_count() {
+        // Refused before `DiGraph::new` would try to allocate it.
+        let text = format!("p max {} 0\n", MAX_DIMACS_VERTICES + 1);
+        assert_eq!(malformed_line(&text), 1);
+        assert_eq!(malformed_line("p max 99999999999 0\n"), 1);
     }
 
     #[test]

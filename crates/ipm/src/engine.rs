@@ -121,11 +121,6 @@ impl<C: Communicator> BarrierEngine<C> {
         self.cache = Some(cache);
     }
 
-    /// The attached cross-instance cache, if any.
-    pub fn template_cache(&self) -> Option<&TemplateCache> {
-        self.cache.as_ref()
-    }
-
     /// Recomputes the engine's resistance buffer from the adapter's
     /// barrier gradient and returns the minimum barrier gap.
     ///

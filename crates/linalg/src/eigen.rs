@@ -168,7 +168,7 @@ fn tridiagonal_ql(
 /// matrices smaller than one chunk run serially inside `par_*`.
 const TRED2_ROW_CHUNK: usize = 64;
 
-/// Minimum rows (`l + 1`) before a [`tred2`] step fans its two update
+/// Minimum rows (`l + 1`) before a `tred2` step fans its two update
 /// loops out. Each step's loops cost `O(l²)`, and below this size waking
 /// the pool twice per step costs more than it saves: at `n = 256` the
 /// values-only reduction is slower and far less steady on two threads

@@ -28,16 +28,6 @@ pub enum LinalgError {
         /// Row at which convergence failed.
         index: usize,
     },
-    /// An iterative solver exhausted its iteration budget before reaching
-    /// the requested tolerance.
-    IterationBudgetExhausted {
-        /// Solver name.
-        solver: &'static str,
-        /// Iterations performed.
-        iterations: usize,
-        /// Relative residual at exit.
-        residual: f64,
-    },
 }
 
 impl fmt::Display for LinalgError {
@@ -58,14 +48,6 @@ impl fmt::Display for LinalgError {
             LinalgError::EigenNoConvergence { index } => {
                 write!(f, "ql eigenvalue iteration did not converge at row {index}")
             }
-            LinalgError::IterationBudgetExhausted {
-                solver,
-                iterations,
-                residual,
-            } => write!(
-                f,
-                "{solver} exhausted {iterations} iterations with relative residual {residual:e}"
-            ),
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Cyclic Jacobi eigenvalue iteration — an independent, slower eigensolver
+//! Test-only cyclic Jacobi eigenvalue iteration — an independent, slower eigensolver
 //! used to cross-validate the primary Householder+QL path
 //! ([`crate::symmetric_eigen`]). Everything downstream (sparsifier
 //! certificates, decomposition gaps) rests on exact eigencomputation, so

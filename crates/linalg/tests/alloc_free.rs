@@ -2,7 +2,7 @@
 //!
 //! A counting global allocator wraps `System`; after one warm-up call
 //! (which sizes every workspace), the armed region re-runs the hot paths
-//! — `matvec_into`, Chebyshev, CG, pseudo-inverse solves — and asserts
+//! — `matvec_into`, Chebyshev, pseudo-inverse solves — and asserts
 //! the allocation counter did not move.
 //!
 //! Threads are pinned to 1: the fixed-chunk fan-out machinery itself
@@ -14,8 +14,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use cc_linalg::{
-    chebyshev_solve_fixed_into, conjugate_gradient_into, laplacian_from_edges, par,
-    vec_ops::remove_mean, CgWorkspace, ChebyshevWorkspace, GroundedCholesky, SolveScratch,
+    chebyshev_solve_fixed_into, laplacian_from_edges, par, vec_ops::remove_mean,
+    ChebyshevWorkspace, GroundedCholesky, SolveScratch,
 };
 
 struct CountingAlloc;
@@ -71,7 +71,6 @@ fn steady_state_iteration_performs_zero_heap_allocations() {
         let mut y = vec![0.0; n];
         let mut x = vec![0.0; n];
         let mut cheb_ws = ChebyshevWorkspace::new(n);
-        let mut cg_ws = CgWorkspace::new(n);
         let mut scratch = SolveScratch::default();
 
         // Warm-up: size every workspace once.
@@ -86,15 +85,6 @@ fn steady_state_iteration_performs_zero_heap_allocations() {
             &mut x,
             &mut cheb_ws,
         );
-        conjugate_gradient_into(
-            |p, ap| lap.matvec_into(p, ap),
-            &b,
-            1e-10,
-            200,
-            &mut x,
-            &mut cg_ws,
-        )
-        .unwrap();
 
         let ((), count) = armed(|| {
             lap.matvec_into(&b, &mut y);
@@ -118,18 +108,5 @@ fn steady_state_iteration_performs_zero_heap_allocations() {
             );
         });
         assert_eq!(count, 0, "chebyshev_solve_fixed_into allocated");
-
-        let (res, count) = armed(|| {
-            conjugate_gradient_into(
-                |p, ap| lap.matvec_into(p, ap),
-                &b,
-                1e-10,
-                200,
-                &mut x,
-                &mut cg_ws,
-            )
-        });
-        assert!(res.is_ok());
-        assert_eq!(count, 0, "conjugate_gradient_into allocated");
     });
 }

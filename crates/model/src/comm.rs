@@ -3,12 +3,14 @@
 //! [`Communicator`] captures the primitive surface of the congested clique
 //! — the message-moving primitives plus round accounting — without naming
 //! a concrete substrate. [`crate::Clique`] is the canonical
-//! implementation (the deterministic simulator); the wrapping transports
-//! [`crate::TracingComm`] and [`crate::FaultComm`] decorate any
-//! communicator with observability and fault injection, and a future
-//! broadcast-clique or real-network backend plugs in at the same seam
-//! (cf. the companion paper arXiv:2205.12059, which re-targets the same
-//! algorithms to the broadcast clique).
+//! implementation (the deterministic simulator) and
+//! [`crate::ThreadedComm`] its concurrent twin; the wrapping transports
+//! [`crate::TracingComm`], [`crate::FaultComm`], [`crate::AdversaryComm`]
+//! and [`crate::BroadcastComm`] decorate any communicator with
+//! observability, fault injection, node-level adversaries and the
+//! broadcast-clique restriction (cf. the companion paper
+//! arXiv:2205.12059, which re-targets the same algorithms to the
+//! broadcast clique).
 //!
 //! Algorithms are generic over `C: Communicator`; nothing outside
 //! `cc-model` needs to know which substrate is charging the rounds.

@@ -51,7 +51,6 @@ mod encode;
 mod error;
 mod fault;
 mod ledger;
-mod program;
 mod threaded;
 mod trace;
 
@@ -67,7 +66,6 @@ pub use encode::{
 pub use error::ModelError;
 pub use fault::{FaultComm, FaultPlan};
 pub use ledger::{CostKind, PhaseCost, RoundLedger};
-pub use program::{run_node_programs, NodeCtx, NodeProgram};
 pub use threaded::ThreadedComm;
 pub use trace::{PhaseTrace, TraceEvent, TracingComm, TRACE_HIST_BUCKETS};
 

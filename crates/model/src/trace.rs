@@ -284,15 +284,6 @@ impl<C: Communicator> TracingComm<C> {
         self.max_node_recv
     }
 
-    /// Discards the recorded trace (the wrapped ledger is untouched).
-    pub fn clear_trace(&mut self) {
-        self.events.clear();
-        self.phases.clear();
-        self.max_pair_words = 0;
-        self.max_node_send = 0;
-        self.max_node_recv = 0;
-    }
-
     /// Congestion attribution for a unicast-shaped outbox set: per-pair
     /// in unicast substrates, one-sender-to-`n − 1`-receivers when the
     /// wrapped substrate reports broadcast mode (e.g.

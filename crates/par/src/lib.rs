@@ -21,10 +21,8 @@
 //! Thread count resolution order:
 //! 1. a [`with_threads`] override on the current thread (used by the
 //!    determinism tests to pin 1/2/8 threads),
-//! 2. the `RAYON_NUM_THREADS` environment variable (kept for
-//!    compatibility with rayon-based tooling),
-//! 3. the `CC_NUM_THREADS` environment variable,
-//! 4. [`std::thread::available_parallelism`].
+//! 2. the `CC_NUM_THREADS` environment variable (a positive integer),
+//! 3. [`std::thread::available_parallelism`].
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,16 +44,12 @@ thread_local! {
 type TaskGroup<P> = Mutex<Option<Vec<(usize, P)>>>;
 
 fn env_threads() -> Option<usize> {
-    for var in ["RAYON_NUM_THREADS", "CC_NUM_THREADS"] {
-        if let Ok(v) = std::env::var(var) {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n > 0 {
-                    return Some(n);
-                }
-            }
-        }
-    }
-    None
+    let n = std::env::var("CC_NUM_THREADS")
+        .ok()?
+        .trim()
+        .parse::<usize>()
+        .ok()?;
+    (n > 0).then_some(n)
 }
 
 /// The configured thread budget (ignoring any [`with_threads`] override).

@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 
 use cc_apsp::{ApspSession, RoundModel, SsspOutcome};
 use cc_core::{SolverOptions, SolverSession};
+use cc_graph::Graph;
 use cc_maxflow::{IpmOptions, MaxFlowSession};
 use cc_mcf::{McfOptions, McfSession};
 use cc_model::Communicator;
@@ -177,6 +178,9 @@ struct GraphEntry {
     maxflow: Option<MaxFlowSession>,
     mcf: Option<McfSession>,
     apsp: Option<ApspSession>,
+    /// Connected-component label per vertex (undirected graphs), filled
+    /// by the first effective-resistance request.
+    components: Option<Vec<usize>>,
 }
 
 /// A long-lived engine over one communicator: a registry of named
@@ -250,6 +254,7 @@ impl<C: Communicator> FlowEngine<C> {
                 maxflow: None,
                 mcf: None,
                 apsp: None,
+                components: None,
             },
         );
         generation
@@ -263,11 +268,6 @@ impl<C: Communicator> FlowEngine<C> {
     /// The registered spec of a graph.
     pub fn graph_spec(&self, name: &str) -> Option<&GraphSpec> {
         self.graphs.get(name).map(|e| &e.spec)
-    }
-
-    /// Registered graph names (lexicographic).
-    pub fn graph_names(&self) -> impl Iterator<Item = &str> {
-        self.graphs.keys().map(|s| s.as_str())
     }
 
     /// Submits one request.
@@ -420,50 +420,29 @@ impl<C: Communicator> FlowEngine<C> {
             fail_all(slots, ServiceErrorKind::UnknownGraph, 0);
             return;
         };
-        let GraphSpec::Undirected(g) = &entry.spec else {
-            fail_all(
-                slots,
-                ServiceErrorKind::BadRequest {
-                    reason: "Laplacian solve needs an undirected graph",
-                },
-                0,
-            );
-            return;
-        };
-        let n = g.n();
-        if eps.is_nan() || eps <= 0.0 {
-            fail_all(
-                slots,
-                ServiceErrorKind::BadRequest {
-                    reason: "eps must be positive",
-                },
-                0,
-            );
-            return;
-        }
         // Per-member validation: malformed members error out solo and
         // leave the group; the rest still batch (k may drop to 1, which
         // is just a width-1 batch — same bits either way).
         let mut valid: Vec<usize> = Vec::with_capacity(members.len());
+        let mut laplacian = None;
         for &i in members {
             let Request::LaplacianSolve { b, .. } = &requests[i] else {
                 unreachable!("group members are Laplacian solves");
             };
-            if b.len() == n {
-                valid.push(i);
-            } else {
-                slots[i] = Some(Err(ServiceError::new(
-                    base_id + i as u64,
-                    graph,
-                    ServiceErrorKind::BadRequest {
-                        reason: "rhs length must equal the vertex count",
-                    },
-                )));
+            match check_solve(&entry.spec, b, eps) {
+                Ok(g) => {
+                    laplacian = Some(g);
+                    valid.push(i);
+                }
+                Err(kind) => {
+                    slots[i] = Some(Err(ServiceError::new(base_id + i as u64, graph, kind)));
+                }
             }
         }
-        if valid.is_empty() {
+        let Some(g) = laplacian else {
             return;
-        }
+        };
+        let n = g.n();
         let k = valid.len();
 
         let clique = &mut self.clique;
@@ -596,20 +575,8 @@ impl<C: Communicator> FlowEngine<C> {
 
         let response = match request {
             Request::LaplacianSolve { b, eps, .. } => {
-                let GraphSpec::Undirected(g) = &entry.spec else {
-                    return err(ServiceErrorKind::BadRequest {
-                        reason: "Laplacian solve needs an undirected graph",
-                    });
-                };
-                if eps.is_nan() || eps <= 0.0 {
-                    return err(ServiceErrorKind::BadRequest {
-                        reason: "eps must be positive",
-                    });
-                }
-                if b.len() != g.n() {
-                    return err(ServiceErrorKind::BadRequest {
-                        reason: "rhs length must equal the vertex count",
-                    });
+                if let Err(kind) = check_solve(&entry.spec, &b, eps) {
+                    return err(kind);
                 }
                 built = ensure_solver(entry, clique, &self.config.solver)
                     .map_err(|e| ServiceError::new(id, &name, ServiceErrorKind::Core(e)))?;
@@ -636,19 +603,29 @@ impl<C: Communicator> FlowEngine<C> {
                         reason: "eps must be positive",
                     });
                 }
-                built = ensure_solver(entry, clique, &self.config.solver)
-                    .map_err(|e| ServiceError::new(id, &name, ServiceErrorKind::Core(e)))?;
-                let session = entry.solver.as_mut().expect("solver just ensured");
-                let mut b = vec![0.0; session.n()];
-                b[s] = 1.0;
-                b[t] = -1.0;
-                let mut x = Vec::new();
-                let iterations = session
-                    .solve_into(clique, &b, eps, &mut x)
-                    .map_err(|e| ServiceError::new(id, &name, ServiceErrorKind::Core(e)))?;
-                Response::Resistance {
-                    value: x[s] - x[t],
-                    iterations,
+                // No current flows between components: the resistance
+                // is infinite, and answering it needs no solve.
+                let components = entry.components.get_or_insert_with(|| g.components());
+                if components[s] != components[t] {
+                    Response::Resistance {
+                        value: f64::INFINITY,
+                        iterations: 0,
+                    }
+                } else {
+                    built = ensure_solver(entry, clique, &self.config.solver)
+                        .map_err(|e| ServiceError::new(id, &name, ServiceErrorKind::Core(e)))?;
+                    let session = entry.solver.as_mut().expect("solver just ensured");
+                    let mut b = vec![0.0; session.n()];
+                    b[s] = 1.0;
+                    b[t] = -1.0;
+                    let mut x = Vec::new();
+                    let iterations = session
+                        .solve_into(clique, &b, eps, &mut x)
+                        .map_err(|e| ServiceError::new(id, &name, ServiceErrorKind::Core(e)))?;
+                    Response::Resistance {
+                        value: x[s] - x[t],
+                        iterations,
+                    }
                 }
             }
             Request::MaxFlow { s, t, .. } => {
@@ -762,6 +739,39 @@ impl<C: Communicator> FlowEngine<C> {
             },
         })
     }
+}
+
+/// Validates a Laplacian solve against the graph it targets: the graph
+/// must be undirected, `eps` positive, and `b` a finite vector with one
+/// entry per vertex. The solo and batched paths both call this, so a
+/// request is refused the same way whichever path serves it, before any
+/// round is charged.
+fn check_solve<'a>(
+    spec: &'a GraphSpec,
+    b: &[f64],
+    eps: f64,
+) -> Result<&'a Graph, ServiceErrorKind> {
+    let GraphSpec::Undirected(g) = spec else {
+        return Err(ServiceErrorKind::BadRequest {
+            reason: "Laplacian solve needs an undirected graph",
+        });
+    };
+    if eps.is_nan() || eps <= 0.0 {
+        return Err(ServiceErrorKind::BadRequest {
+            reason: "eps must be positive",
+        });
+    }
+    if b.len() != g.n() {
+        return Err(ServiceErrorKind::BadRequest {
+            reason: "rhs length must equal the vertex count",
+        });
+    }
+    if !b.iter().all(|v| v.is_finite()) {
+        return Err(ServiceErrorKind::BadRequest {
+            reason: "rhs entries must be finite",
+        });
+    }
+    Ok(g)
 }
 
 /// Builds the entry's Laplacian solver if absent; returns whether this

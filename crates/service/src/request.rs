@@ -40,7 +40,8 @@ impl GraphSpec {
 /// One request against a named registered graph.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Solve `L x = b` to relative accuracy `eps` (Theorem 1.1).
+    /// Solve `L x = b` to relative accuracy `eps` (Theorem 1.1). A `b`
+    /// holding NaN or ±∞ is refused as a bad request, charging no rounds.
     /// Batchable: same-graph, same-`eps` solves submitted together are
     /// admitted as one `solve_multi_into` call.
     LaplacianSolve {
@@ -124,9 +125,13 @@ pub enum Response {
         /// Chebyshev iterations spent.
         iterations: usize,
     },
-    /// [`Request::EffectiveResistance`]: the resistance value.
+    /// [`Request::EffectiveResistance`]: the resistance value. Terminals
+    /// in different connected components are answered without a solve:
+    /// `value` is `f64::INFINITY`, `iterations` is 0, and the request
+    /// charges no rounds.
     Resistance {
-        /// `R_eff(s, t) = x_s − x_t` for `L x = e_s − e_t`.
+        /// `R_eff(s, t) = x_s − x_t` for `L x = e_s − e_t`, or `+∞`
+        /// across components.
         value: f64,
         /// Chebyshev iterations spent.
         iterations: usize,

@@ -89,11 +89,6 @@ impl ExpanderDecomposition {
         }
         a
     }
-
-    /// Total weight of crossing edges in `g`.
-    pub fn crossing_weight(&self, g: &Graph) -> f64 {
-        self.crossing_edges.iter().map(|&e| g.edge(e).weight).sum()
-    }
 }
 
 /// The default conductance threshold `φ = 1/(8·ln(2 + vol(G)))`, chosen so
