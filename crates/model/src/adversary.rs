@@ -33,9 +33,13 @@
 //! mirroring [`crate::TracingComm`]'s style), and the wrapper stacks
 //! cleanly with `TracingComm`/`FaultComm` over any substrate.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use crate::{CliqueConfig, Communicator, Envelope, ModelError, NodeId, RoundLedger, Words};
+use crate::fault::{seeded_stream, splitmix64};
+use crate::layer::{Layer, Layered, Op};
+use crate::trace::json_escape;
+use crate::{Communicator, ModelError, NodeId, RoundLedger, Words};
 
 /// Per-node behavior under an [`AdversarySchedule`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -163,28 +167,6 @@ pub struct AdversaryEvent {
     pub round: u64,
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// A [`Communicator`] decorator executing a node-level
 /// [`AdversarySchedule`] deterministically.
 ///
@@ -210,9 +192,12 @@ fn json_escape(s: &str) -> String {
 /// ));
 /// assert_eq!(comm.faults_observed(), 1);
 /// ```
+pub type AdversaryComm<C> = Layered<AdversaryLayer, C>;
+
+/// The [`Layer`] of [`AdversaryComm`]: the schedule, the corruption
+/// stream and the adversary ledger.
 #[derive(Debug, Clone)]
-pub struct AdversaryComm<C: Communicator> {
-    inner: C,
+pub struct AdversaryLayer {
     schedule: AdversarySchedule,
     rng_state: u64,
     events: Vec<AdversaryEvent>,
@@ -225,47 +210,35 @@ pub struct AdversaryComm<C: Communicator> {
 impl<C: Communicator> AdversaryComm<C> {
     /// Wraps `inner` under the given schedule.
     pub fn new(inner: C, schedule: AdversarySchedule) -> Self {
-        let mut rng_state = schedule.seed ^ 0x9E37_79B9_7F4A_7C15;
-        let _ = splitmix64(&mut rng_state);
-        Self {
-            inner,
+        let layer = AdversaryLayer {
+            rng_state: seeded_stream(schedule.seed),
             schedule,
-            rng_state,
             events: Vec::new(),
             phases: BTreeMap::new(),
             omissions: 0,
             corruptions: 0,
-        }
-    }
-
-    /// The wrapped communicator.
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-
-    /// Unwraps, discarding the schedule and events.
-    pub fn into_inner(self) -> C {
-        self.inner
+        };
+        Layered::wrap(layer, inner)
     }
 
     /// The schedule in force.
     pub fn schedule(&self) -> &AdversarySchedule {
-        &self.schedule
+        &self.layer().schedule
     }
 
     /// The recorded adversary events, in call order.
     pub fn events(&self) -> &[AdversaryEvent] {
-        &self.events
+        &self.layer().events
     }
 
     /// Omission events recorded so far (silenced sends).
     pub fn omissions(&self) -> u64 {
-        self.omissions
+        self.layer().omissions
     }
 
     /// Corruption events recorded so far (bit-flipped words).
     pub fn corruptions(&self) -> u64 {
-        self.corruptions
+        self.layer().corruptions
     }
 
     /// Serializes the adversary ledger — schedule, totals, per-phase
@@ -273,12 +246,13 @@ impl<C: Communicator> AdversaryComm<C> {
     /// (byte-identical across runs and substrates of a deterministic
     /// workload, mirroring [`crate::TracingComm::trace_json`]).
     pub fn events_json(&self) -> String {
+        let a = self.layer();
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str("  \"schema\": \"cc-model/adversary-v1\",\n");
-        out.push_str(&format!("  \"n\": {},\n", self.inner.n()));
-        out.push_str(&format!("  \"seed\": {},\n", self.schedule.seed));
-        let strategies: Vec<String> = self
+        out.push_str(&format!("  \"n\": {},\n", self.n()));
+        out.push_str(&format!("  \"seed\": {},\n", a.schedule.seed));
+        let strategies: Vec<String> = a
             .schedule
             .scheduled()
             .map(|(node, s)| format!("{{\"node\": {node}, \"strategy\": \"{}\"}}", s.label()))
@@ -286,12 +260,12 @@ impl<C: Communicator> AdversaryComm<C> {
         out.push_str(&format!("  \"strategies\": [{}],\n", strategies.join(", ")));
         out.push_str(&format!(
             "  \"events_total\": {},\n  \"omissions\": {},\n  \"corruptions\": {},\n",
-            self.events.len(),
-            self.omissions,
-            self.corruptions
+            a.events.len(),
+            a.omissions,
+            a.corruptions
         ));
         out.push_str("  \"phases\": [\n");
-        let rows: Vec<String> = self
+        let rows: Vec<String> = a
             .phases
             .iter()
             .map(|(phase, nodes)| {
@@ -309,7 +283,7 @@ impl<C: Communicator> AdversaryComm<C> {
         out.push_str(&rows.join(",\n"));
         out.push_str("\n  ],\n");
         out.push_str("  \"events\": [\n");
-        let rows: Vec<String> = self
+        let rows: Vec<String> = a
             .events
             .iter()
             .map(|e| {
@@ -335,17 +309,19 @@ impl<C: Communicator> AdversaryComm<C> {
         out.push_str("\n  ]\n}\n");
         out
     }
+}
 
+impl AdversaryLayer {
     /// True if `node` is currently withholding messages (silent, or
     /// crash–recover inside its window at the current ledger round).
-    fn withholding(&self, node: NodeId) -> bool {
+    fn withholding(&self, ledger: &RoundLedger, node: NodeId) -> bool {
         match self.schedule.strategy(node) {
             AdversaryStrategy::Silent => true,
             AdversaryStrategy::CrashRecover {
                 from_round,
                 until_round,
             } => {
-                let round = self.inner.ledger().total_rounds();
+                let round = ledger.total_rounds();
                 round >= *from_round && round < *until_round
             }
             _ => false,
@@ -356,9 +332,15 @@ impl<C: Communicator> AdversaryComm<C> {
         *self.schedule.strategy(node) == AdversaryStrategy::Corrupt
     }
 
-    fn record(&mut self, node: NodeId, action: AdversaryAction, primitive: &'static str) {
-        let phase = self.inner.ledger().current_phase().to_string();
-        let round = self.inner.ledger().total_rounds();
+    fn record(
+        &mut self,
+        ledger: &RoundLedger,
+        node: NodeId,
+        action: AdversaryAction,
+        primitive: &'static str,
+    ) {
+        let phase = ledger.current_phase().to_string();
+        let round = ledger.total_rounds();
         match action {
             AdversaryAction::Omission => self.omissions += 1,
             AdversaryAction::Corruption { .. } => self.corruptions += 1,
@@ -381,10 +363,17 @@ impl<C: Communicator> AdversaryComm<C> {
     }
 
     /// Fails the call with the detected omission of `node`.
-    fn silenced(&mut self, node: NodeId, primitive: &'static str) -> ModelError {
-        let round = self.inner.ledger().total_rounds();
-        self.record(node, AdversaryAction::Omission, primitive);
-        ModelError::NodeSilenced { node, round }
+    fn silenced(
+        &mut self,
+        ledger: &RoundLedger,
+        node: NodeId,
+        primitive: &'static str,
+    ) -> ModelError {
+        self.record(ledger, node, AdversaryAction::Omission, primitive);
+        ModelError::NodeSilenced {
+            node,
+            round: ledger.total_rounds(),
+        }
     }
 
     /// Flips the low bit of one deterministically drawn word among
@@ -393,6 +382,7 @@ impl<C: Communicator> AdversaryComm<C> {
     /// congestion accounting is untouched.
     fn corrupt_payloads(
         &mut self,
+        ledger: &RoundLedger,
         node: NodeId,
         payloads: &mut [&mut Words],
         primitive: &'static str,
@@ -410,7 +400,8 @@ impl<C: Communicator> AdversaryComm<C> {
             }
             remaining -= payload.len();
         }
-        self.record(node, AdversaryAction::Corruption { word_index }, primitive);
+        let action = AdversaryAction::Corruption { word_index };
+        self.record(ledger, node, action, primitive);
     }
 
     /// Screens an outbox-style message set: a withholding node with any
@@ -418,19 +409,17 @@ impl<C: Communicator> AdversaryComm<C> {
     /// word flipped in place.
     fn screen_outboxes(
         &mut self,
+        ledger: &RoundLedger,
         outboxes: &mut [Vec<(NodeId, Words)>],
         primitive: &'static str,
     ) -> Result<(), ModelError> {
-        if self.schedule.is_honest() {
-            return Ok(());
-        }
         for (src, outbox) in outboxes.iter_mut().enumerate() {
             let sends = outbox.iter().any(|(_, p)| !p.is_empty());
             if !sends {
                 continue;
             }
-            if self.withholding(src) {
-                return Err(self.silenced(src, primitive));
+            if self.withholding(ledger, src) {
+                return Err(self.silenced(ledger, src, primitive));
             }
             if self.corrupting(src) {
                 let mut payloads: Vec<&mut Words> = outbox
@@ -438,177 +427,96 @@ impl<C: Communicator> AdversaryComm<C> {
                     .map(|(_, p)| p)
                     .filter(|p| !p.is_empty())
                     .collect();
-                self.corrupt_payloads(src, &mut payloads, primitive);
+                self.corrupt_payloads(ledger, src, &mut payloads, primitive);
             }
         }
         Ok(())
     }
 
     /// Screens a per-node word-vector set (broadcast family, allgather,
-    /// sort, gather): returns the possibly corrupted rows to pass down,
-    /// or the detected omission.
+    /// sort, gather): the rows are copied once, on the first corrupted
+    /// one; a withholding node with a nonempty row detects as an
+    /// omission.
     fn screen_vectors(
         &mut self,
-        per_node: &[Words],
+        ledger: &RoundLedger,
+        per_node: &mut Cow<'_, [Words]>,
         primitive: &'static str,
-    ) -> Result<Option<Vec<Words>>, ModelError> {
-        if self.schedule.is_honest() {
-            return Ok(None);
-        }
-        let mut owned: Option<Vec<Words>> = None;
-        for (node, words) in per_node.iter().enumerate() {
-            if words.is_empty() {
+    ) -> Result<(), ModelError> {
+        for node in 0..per_node.len() {
+            if per_node[node].is_empty() {
                 continue;
             }
-            if self.withholding(node) {
-                return Err(self.silenced(node, primitive));
+            if self.withholding(ledger, node) {
+                return Err(self.silenced(ledger, node, primitive));
             }
             if self.corrupting(node) {
-                let rows = owned.get_or_insert_with(|| per_node.to_vec());
-                let mut payloads = vec![&mut rows[node]];
-                self.corrupt_payloads(node, &mut payloads, primitive);
+                let row = &mut per_node.to_mut()[node];
+                self.corrupt_payloads(ledger, node, &mut [row], primitive);
             }
         }
-        Ok(owned)
-    }
-}
-
-impl<C: Communicator> Communicator for AdversaryComm<C> {
-    fn n(&self) -> usize {
-        self.inner.n()
-    }
-
-    fn config(&self) -> CliqueConfig {
-        self.inner.config()
-    }
-
-    fn ledger(&self) -> &RoundLedger {
-        self.inner.ledger()
-    }
-
-    fn ledger_mut(&mut self) -> &mut RoundLedger {
-        self.inner.ledger_mut()
-    }
-
-    fn faults_observed(&self) -> u64 {
-        self.events.len() as u64 + self.inner.faults_observed()
-    }
-
-    fn push_phase(&mut self, name: &str) {
-        self.inner.push_phase(name);
-    }
-
-    fn pop_phase(&mut self) {
-        self.inner.pop_phase();
-    }
-
-    fn charge_oracle(&mut self, rounds: u64) {
-        self.inner.charge_oracle(rounds);
-    }
-
-    fn charge_implemented(&mut self, rounds: u64) {
-        self.inner.charge_implemented(rounds);
-    }
-
-    fn exchange(
-        &mut self,
-        mut outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        self.screen_outboxes(&mut outboxes, "exchange")?;
-        self.inner.exchange(outboxes)
-    }
-
-    fn route(
-        &mut self,
-        mut outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        self.screen_outboxes(&mut outboxes, "route")?;
-        self.inner.route(outboxes)
-    }
-
-    fn route_strict(
-        &mut self,
-        mut outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        self.screen_outboxes(&mut outboxes, "route_strict")?;
-        self.inner.route_strict(outboxes)
-    }
-
-    fn broadcast_all(&mut self, values: &[u64]) -> Result<Vec<u64>, ModelError> {
-        // Every node is a one-word sender here, so a withholding node is
-        // always detected, regardless of its value.
-        if !self.schedule.is_honest() {
-            let mut owned: Option<Vec<u64>> = None;
-            for node in 0..values.len().min(self.inner.n()) {
-                if self.withholding(node) {
-                    return Err(self.silenced(node, "broadcast_all"));
-                }
-                if self.corrupting(node) {
-                    let vals = owned.get_or_insert_with(|| values.to_vec());
-                    let _ = splitmix64(&mut self.rng_state); // one-word draw
-                    vals[node] ^= 1;
-                    self.record(
-                        node,
-                        AdversaryAction::Corruption { word_index: 0 },
-                        "broadcast_all",
-                    );
-                }
-            }
-            if let Some(vals) = owned {
-                return self.inner.broadcast_all(&vals);
-            }
-        }
-        self.inner.broadcast_all(values)
-    }
-
-    fn broadcast_all_into(&mut self, values: &[u64], out: &mut Vec<u64>) -> Result<(), ModelError> {
-        // Route through `broadcast_all` so screening, events, and the
-        // corruption stream are identical to the allocating variant.
-        let view = self.broadcast_all(values)?;
-        out.clear();
-        out.extend_from_slice(&view);
         Ok(())
     }
 
-    fn broadcast_all_words(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        match self.screen_vectors(per_node, "broadcast_all_words")? {
-            Some(rows) => self.inner.broadcast_all_words(&rows),
-            None => self.inner.broadcast_all_words(per_node),
+    /// Screens the 1-word all-broadcast: every node is a sender, so a
+    /// withholding node is always detected, regardless of its value; a
+    /// corrupting node's word has its low bit flipped (one stream draw).
+    fn screen_words(
+        &mut self,
+        ledger: &RoundLedger,
+        n: usize,
+        values: &mut Cow<'_, [u64]>,
+    ) -> Result<(), ModelError> {
+        for node in 0..values.len().min(n) {
+            if self.withholding(ledger, node) {
+                return Err(self.silenced(ledger, node, "broadcast_all"));
+            }
+            if self.corrupting(node) {
+                let _ = splitmix64(&mut self.rng_state); // one-word draw
+                values.to_mut()[node] ^= 1;
+                let action = AdversaryAction::Corruption { word_index: 0 };
+                self.record(ledger, node, action, "broadcast_all");
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Layer for AdversaryLayer {
+    fn before<C: Communicator>(&mut self, inner: &C, op: &mut Op<'_>) -> Result<(), ModelError> {
+        if self.schedule.is_honest() {
+            return Ok(());
+        }
+        let ledger = inner.ledger();
+        let primitive = op.name();
+        match op {
+            Op::Exchange(o) | Op::Route(o) | Op::RouteStrict(o) => {
+                self.screen_outboxes(ledger, o, primitive)
+            }
+            Op::BroadcastAll(values) | Op::BroadcastAllInto(values, _) => {
+                self.screen_words(ledger, inner.n(), values)
+            }
+            Op::BroadcastFrom(src, words) => {
+                if words.is_empty() {
+                    return Ok(());
+                }
+                if self.withholding(ledger, *src) {
+                    return Err(self.silenced(ledger, *src, primitive));
+                }
+                if self.corrupting(*src) {
+                    self.corrupt_payloads(ledger, *src, &mut [words.to_mut()], primitive);
+                }
+                Ok(())
+            }
+            Op::BroadcastAllWords(rows)
+            | Op::Allgather(rows)
+            | Op::Sort(rows)
+            | Op::GatherTo(_, rows) => self.screen_vectors(ledger, rows, primitive),
         }
     }
 
-    fn broadcast_from(&mut self, src: NodeId, words: &Words) -> Result<Words, ModelError> {
-        if !words.is_empty() && self.withholding(src) {
-            return Err(self.silenced(src, "broadcast_from"));
-        }
-        if !words.is_empty() && self.corrupting(src) {
-            let mut row = words.clone();
-            let mut payloads = vec![&mut row];
-            self.corrupt_payloads(src, &mut payloads, "broadcast_from");
-            return self.inner.broadcast_from(src, &row);
-        }
-        self.inner.broadcast_from(src, words)
-    }
-
-    fn allgather(&mut self, per_node: &[Words]) -> Result<(Words, Vec<usize>), ModelError> {
-        match self.screen_vectors(per_node, "allgather")? {
-            Some(rows) => self.inner.allgather(&rows),
-            None => self.inner.allgather(per_node),
-        }
-    }
-
-    fn sort(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        match self.screen_vectors(per_node, "sort")? {
-            Some(rows) => self.inner.sort(&rows),
-            None => self.inner.sort(per_node),
-        }
-    }
-
-    fn gather_to(&mut self, dst: NodeId, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        match self.screen_vectors(per_node, "gather_to")? {
-            Some(rows) => self.inner.gather_to(dst, &rows),
-            None => self.inner.gather_to(dst, per_node),
-        }
+    fn faults_observed(&self) -> u64 {
+        self.events.len() as u64
     }
 }
 

@@ -57,10 +57,8 @@
 //! ledgers — which `crates/model/tests/broadcast.rs` pins with identity
 //! proptests at worker counts 1, 2, and 8.
 
-use crate::{
-    delivery, CliqueConfig, CommunicationMode, Communicator, CostKind, Envelope, ModelError,
-    NodeId, RoundLedger, Words,
-};
+use crate::layer::{Layer, Layered, Op, Reply};
+use crate::{delivery, Communicator, CostKind, ModelError, NodeId, Words};
 
 /// How a [`BroadcastComm`] treats unicast-shaped primitives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -97,16 +95,20 @@ pub enum BroadcastMode {
 /// assert_eq!(blocks[0], vec![1]);
 /// assert_eq!(measured.ledger().total_rounds(), 2); // max per-node keys
 /// ```
-#[derive(Debug, Clone)]
-pub struct BroadcastComm<C: Communicator> {
-    inner: C,
+pub type BroadcastComm<C> = Layered<BroadcastLayer, C>;
+
+/// The [`Layer`] of [`BroadcastComm`]: rejects (strict) or re-prices
+/// (measured) the unicast-shaped primitives and prices the broadcast
+/// family as the Broadcast Congested Clique.
+#[derive(Debug, Clone, Copy)]
+pub struct BroadcastLayer {
     mode: BroadcastMode,
 }
 
 impl<C: Communicator> BroadcastComm<C> {
     /// Wraps `inner` in the given mode.
     pub fn with_mode(inner: C, mode: BroadcastMode) -> Self {
-        Self { inner, mode }
+        Layered::wrap(BroadcastLayer { mode }, inner)
     }
 
     /// Strict broadcast clique: unicast primitives are typed errors.
@@ -122,200 +124,109 @@ impl<C: Communicator> BroadcastComm<C> {
 
     /// The mode chosen at construction.
     pub fn mode(&self) -> BroadcastMode {
-        self.mode
+        self.layer().mode
     }
+}
 
-    /// The wrapped substrate.
-    pub fn inner(&self) -> &C {
-        &self.inner
+/// Charges `rounds` implemented rounds to the substrate's ledger (the
+/// layer owns the broadcast accounting; the substrate owns the ledger).
+fn charge<C: Communicator>(inner: &mut C, rounds: u64) {
+    inner.ledger_mut().charge(rounds, CostKind::Implemented);
+}
+
+/// Measured-mode simulation of a unicast message set: validate like the
+/// unicast clique, optionally apply its strict budget scan (so
+/// congestion errors are value-identical to `Clique::route_strict`
+/// before the cost diverges), charge the broadcast simulation cost,
+/// deliver through the shared kernel.
+fn simulate_unicast<C: Communicator>(
+    inner: &mut C,
+    outboxes: Vec<Vec<(NodeId, Words)>>,
+    always_charge: bool,
+    strict_budget: bool,
+) -> Result<Reply, ModelError> {
+    let n = inner.n();
+    delivery::check_outboxes(n, &outboxes)?;
+    let (send, recv) = delivery::shard_loads(n, &outboxes);
+    if strict_budget {
+        delivery::strict_violation(&inner.config(), n, &send, &recv)?;
     }
-
-    /// Unwraps, returning the substrate (and its ledger).
-    pub fn into_inner(self) -> C {
-        self.inner
+    let rounds = delivery::broadcast_sim_cost(&send);
+    if always_charge || rounds > 0 {
+        charge(inner, rounds);
     }
+    Ok(Reply::Inboxes(delivery::deliver(n, outboxes)))
+}
 
-    /// The accounting constants with the mode forced to broadcast — the
-    /// config used for every broadcast cost formula, and what
-    /// [`Communicator::config`] reports so wrappers above (e.g.
-    /// [`crate::TracingComm`]) can detect the broadcast regime.
-    fn broadcast_config(&self) -> CliqueConfig {
-        CliqueConfig {
-            mode: CommunicationMode::Broadcast,
-            ..self.inner.config()
-        }
-    }
-
-    /// Strict-mode gate for a unicast-shaped primitive.
-    fn strict_gate(&self, primitive: &'static str) -> Result<(), ModelError> {
-        if self.mode == BroadcastMode::Strict {
-            return Err(ModelError::UnicastInBroadcastModel { primitive });
+impl Layer for BroadcastLayer {
+    /// Strict mode rejects the unicast-shaped primitives before anything
+    /// runs or is charged.
+    fn before<C: Communicator>(&mut self, _inner: &C, op: &mut Op<'_>) -> Result<(), ModelError> {
+        if self.mode == BroadcastMode::Strict && op.is_unicast() {
+            return Err(ModelError::UnicastInBroadcastModel {
+                primitive: op.name(),
+            });
         }
         Ok(())
     }
 
-    /// Charges `rounds` implemented rounds to the substrate's ledger
-    /// (the wrapper owns the broadcast accounting; the substrate owns
-    /// the ledger).
-    fn charge(&mut self, rounds: u64) {
-        self.inner
-            .ledger_mut()
-            .charge(rounds, CostKind::Implemented);
-    }
-
-    /// Measured-mode simulation shared by `exchange` and `route`:
-    /// validate like the unicast clique, charge the broadcast
-    /// simulation cost, deliver through the shared kernel.
-    fn simulate_unicast(
-        &mut self,
-        outboxes: Vec<Vec<(NodeId, Words)>>,
-        always_charge: bool,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        let n = self.inner.n();
-        delivery::check_outboxes(n, &outboxes)?;
-        let (send, _recv) = delivery::shard_loads(n, &outboxes);
-        let rounds = delivery::broadcast_sim_cost(&send);
-        if always_charge || rounds > 0 {
-            self.charge(rounds);
+    /// Executes every primitive at its broadcast cost (module-level
+    /// table); the 1-word and word-vector all-broadcasts, whose cost is
+    /// the same in both models, run on the substrate.
+    fn around<C: Communicator>(&mut self, inner: &mut C, op: Op<'_>) -> Result<Reply, ModelError> {
+        let n = inner.n();
+        match op {
+            // The unicast clique charges exchange unconditionally (even an
+            // empty exchange touches the ledger) and leaves the ledger
+            // untouched for an empty route; mirror both.
+            Op::Exchange(o) => simulate_unicast(inner, o, true, false),
+            Op::Route(o) => simulate_unicast(inner, o, false, false),
+            Op::RouteStrict(o) => simulate_unicast(inner, o, false, true),
+            op @ (Op::BroadcastAll(_) | Op::BroadcastAllInto(..) | Op::BroadcastAllWords(_)) => {
+                op.run(inner)
+            }
+            Op::BroadcastFrom(src, words) => {
+                if src >= n {
+                    return Err(ModelError::InvalidNode { node: src, n });
+                }
+                // No scatter helpers: one word per round from the source.
+                charge(inner, words.len() as u64);
+                Ok(Reply::Words(words.into_owned()))
+            }
+            Op::Allgather(rows) => {
+                delivery::check_len(n, rows.len())?;
+                // The unbalanced broadcast allgather always touches the
+                // ledger, even when empty.
+                charge(inner, delivery::broadcast_words_cost(&rows));
+                let (all, offsets) = delivery::concat_words(n, &rows);
+                Ok(Reply::Gathered(all, offsets))
+            }
+            Op::Sort(rows) => {
+                delivery::check_len(n, rows.len())?;
+                if rows.iter().any(|w| !w.is_empty()) {
+                    // Everyone broadcasts their keys (max per-node keys
+                    // rounds); the globally sorted blocks are then known
+                    // locally.
+                    charge(inner, delivery::broadcast_words_cost(&rows));
+                }
+                Ok(Reply::Rows(delivery::sorted_blocks(n, &rows)))
+            }
+            Op::GatherTo(dst, rows) => {
+                if dst >= n {
+                    return Err(ModelError::InvalidNode { node: dst, n });
+                }
+                delivery::check_len(n, rows.len())?;
+                // A broadcast gather cannot target one node: everyone
+                // broadcasts their vector and `dst` (like everyone else)
+                // hears it all.
+                charge(inner, delivery::broadcast_words_cost(&rows));
+                Ok(Reply::Rows(rows.into_owned()))
+            }
         }
-        Ok(delivery::deliver(n, outboxes))
-    }
-}
-
-impl<C: Communicator> Communicator for BroadcastComm<C> {
-    fn n(&self) -> usize {
-        self.inner.n()
     }
 
-    /// Reports the substrate's constants with
-    /// [`CliqueConfig::mode`] = [`CommunicationMode::Broadcast`], so
-    /// transports stacked above attribute congestion broadcast-style.
-    fn config(&self) -> CliqueConfig {
-        self.broadcast_config()
-    }
-
-    fn ledger(&self) -> &RoundLedger {
-        self.inner.ledger()
-    }
-
-    fn ledger_mut(&mut self) -> &mut RoundLedger {
-        self.inner.ledger_mut()
-    }
-
-    fn push_phase(&mut self, name: &str) {
-        self.inner.push_phase(name);
-    }
-
-    fn pop_phase(&mut self) {
-        self.inner.pop_phase();
-    }
-
-    fn faults_observed(&self) -> u64 {
-        self.inner.faults_observed()
-    }
-
-    fn charge_oracle(&mut self, rounds: u64) {
-        self.inner.charge_oracle(rounds);
-    }
-
-    fn charge_implemented(&mut self, rounds: u64) {
-        self.inner.charge_implemented(rounds);
-    }
-
-    fn exchange(
-        &mut self,
-        outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        self.strict_gate("exchange")?;
-        // The unicast clique charges exchange unconditionally (even an
-        // empty exchange touches the ledger); mirror that.
-        self.simulate_unicast(outboxes, true)
-    }
-
-    fn route(
-        &mut self,
-        outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        self.strict_gate("route")?;
-        // The unicast clique leaves the ledger untouched for an empty
-        // route; mirror that.
-        self.simulate_unicast(outboxes, false)
-    }
-
-    fn route_strict(
-        &mut self,
-        outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        self.strict_gate("route_strict")?;
-        let n = self.inner.n();
-        delivery::check_outboxes(n, &outboxes)?;
-        let (send, recv) = delivery::shard_loads(n, &outboxes);
-        // Keep the unicast budget check so congestion errors are value-
-        // identical to `Clique::route_strict` before the cost diverges.
-        delivery::strict_violation(&self.inner.config(), n, &send, &recv)?;
-        let rounds = delivery::broadcast_sim_cost(&send);
-        if rounds > 0 {
-            self.charge(rounds);
-        }
-        Ok(delivery::deliver(n, outboxes))
-    }
-
-    fn broadcast_all(&mut self, values: &[u64]) -> Result<Vec<u64>, ModelError> {
-        self.inner.broadcast_all(values)
-    }
-
-    fn broadcast_all_into(&mut self, values: &[u64], out: &mut Vec<u64>) -> Result<(), ModelError> {
-        self.inner.broadcast_all_into(values, out)
-    }
-
-    fn broadcast_all_words(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        self.inner.broadcast_all_words(per_node)
-    }
-
-    fn broadcast_from(&mut self, src: NodeId, words: &Words) -> Result<Words, ModelError> {
-        let n = self.inner.n();
-        if src >= n {
-            return Err(ModelError::InvalidNode { node: src, n });
-        }
-        let rounds = delivery::broadcast_from_cost(&self.broadcast_config(), n, words.len() as u64);
-        self.charge(rounds);
-        Ok(words.clone())
-    }
-
-    fn allgather(&mut self, per_node: &[Words]) -> Result<(Words, Vec<usize>), ModelError> {
-        let n = self.inner.n();
-        delivery::check_len(n, per_node.len())?;
-        // The broadcast-mode allgather always touches the ledger (the
-        // unbalanced fallback broadcast runs even when empty), exactly
-        // like `Clique` in broadcast mode.
-        let rounds = delivery::allgather_cost(&self.broadcast_config(), n, per_node);
-        self.charge(rounds);
-        Ok(delivery::concat_words(n, per_node))
-    }
-
-    fn sort(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        self.strict_gate("sort")?;
-        let n = self.inner.n();
-        delivery::check_len(n, per_node.len())?;
-        if per_node.iter().any(|w| !w.is_empty()) {
-            // Everyone broadcasts their keys (max per-node keys rounds);
-            // the globally sorted blocks are then known locally.
-            self.charge(delivery::broadcast_words_cost(per_node));
-        }
-        Ok(delivery::sorted_blocks(n, per_node))
-    }
-
-    fn gather_to(&mut self, dst: NodeId, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        self.strict_gate("gather_to")?;
-        let n = self.inner.n();
-        if dst >= n {
-            return Err(ModelError::InvalidNode { node: dst, n });
-        }
-        delivery::check_len(n, per_node.len())?;
-        // A broadcast gather cannot target one node: everyone broadcasts
-        // their vector and `dst` (like everyone else) hears it all.
-        self.charge(delivery::broadcast_words_cost(per_node));
-        Ok(per_node.to_vec())
+    fn is_broadcast(&self) -> bool {
+        true
     }
 }
 
@@ -463,15 +374,13 @@ mod tests {
     }
 
     #[test]
-    fn config_reports_broadcast_mode() {
+    fn reports_broadcast_regime_and_substrate_config() {
         let comm = BroadcastComm::strict(Clique::new(2));
-        assert_eq!(comm.config().mode, CommunicationMode::Broadcast);
+        assert!(comm.is_broadcast());
+        assert!(!comm.inner().is_broadcast());
         assert_eq!(comm.mode(), BroadcastMode::Strict);
-        // The substrate's other constants pass through.
-        assert_eq!(
-            comm.config().lenzen_rounds,
-            comm.inner().config().lenzen_rounds
-        );
+        // The substrate's constants pass through.
+        assert_eq!(comm.config(), comm.inner().config());
     }
 
     #[test]

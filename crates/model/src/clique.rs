@@ -1,22 +1,5 @@
 use crate::{delivery, Communicator, CostKind, ModelError, NodeId, RoundLedger, Words};
 
-/// Which communication primitives the simulated model admits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CommunicationMode {
-    /// The (unicast) congested clique \[LPSPP05\]: per round, every
-    /// ordered pair may exchange one word. All primitives available.
-    #[default]
-    Unicast,
-    /// The Broadcast Congested Clique \[DKO12\] (§2.1 of the paper): per
-    /// round every node sends the *same* word to everyone. Point-to-point
-    /// primitives ([`Clique::exchange`], [`Clique::route`]) are rejected —
-    /// which operationalizes the paper's §1.1 observation that Eulerian
-    /// orientation (and hence flow rounding) "seems to be a hard problem
-    /// in the Broadcast Congested Clique", while the Laplacian solver's
-    /// broadcast-only communication pattern still runs (cf. \[FV22\]).
-    Broadcast,
-}
-
 /// Tunable accounting constants of the simulated model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CliqueConfig {
@@ -27,8 +10,6 @@ pub struct CliqueConfig {
     /// Per-node word budget of one routing application, as a multiple of
     /// `n`. Lenzen's theorem uses factor 1 (send ≤ n, receive ≤ n words).
     pub routing_capacity_factor: usize,
-    /// Unicast (default) or broadcast-only communication.
-    pub mode: CommunicationMode,
 }
 
 impl Default for CliqueConfig {
@@ -36,7 +17,6 @@ impl Default for CliqueConfig {
         Self {
             lenzen_rounds: 2,
             routing_capacity_factor: 1,
-            mode: CommunicationMode::Unicast,
         }
     }
 }
@@ -164,7 +144,6 @@ impl Clique {
         &mut self,
         outboxes: Vec<Vec<(NodeId, Words)>>,
     ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        delivery::unicast_gate(&self.config)?;
         delivery::check_outboxes(self.n, &outboxes)?;
         let max_pair = delivery::exchange_cost(self.n, &outboxes);
         self.ledger.charge(max_pair, CostKind::Implemented);
@@ -185,7 +164,6 @@ impl Clique {
         &mut self,
         outboxes: Vec<Vec<(NodeId, Words)>>,
     ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        delivery::unicast_gate(&self.config)?;
         delivery::check_outboxes(self.n, &outboxes)?;
         let (send, recv) = delivery::shard_loads(self.n, &outboxes);
         let load = send.iter().chain(recv.iter()).copied().max().unwrap_or(0);
@@ -289,7 +267,7 @@ impl Clique {
                 n: self.n,
             });
         }
-        let rounds = delivery::broadcast_from_cost(&self.config, self.n, words.len() as u64);
+        let rounds = delivery::broadcast_from_cost(self.n, words.len() as u64);
         self.ledger.charge(rounds, CostKind::Implemented);
         Ok(words.clone())
     }
@@ -300,9 +278,8 @@ impl Clique {
     /// load balancing: the words are first spread evenly over the clique
     /// with Lenzen routing, then broadcast at `n` words per round. With
     /// total volume `W` and maximum per-node contribution `L`, the cost is
-    /// `lenzen_rounds·⌈L/n⌉ + ⌈W/n⌉` (in broadcast mode: the unbalanced
-    /// `max_i w_i`). Use this instead of `broadcast_all_words` when
-    /// contributions are skewed.
+    /// `lenzen_rounds·⌈L/n⌉ + ⌈W/n⌉`. Use this instead of
+    /// `broadcast_all_words` when contributions are skewed.
     ///
     /// Returns the concatenation of all vectors in node order (identical at
     /// every node), together with per-node offsets.
@@ -312,10 +289,8 @@ impl Clique {
     /// [`ModelError::WrongOutboxCount`] if `per_node.len() != n`.
     pub fn allgather(&mut self, per_node: &[Words]) -> Result<(Words, Vec<usize>), ModelError> {
         delivery::check_len(self.n, per_node.len())?;
-        // Broadcast mode always touches the ledger (the fallback broadcast
-        // runs even when empty); the balanced path is free for empty input.
-        let nonempty = per_node.iter().any(|w| !w.is_empty());
-        if self.config.mode == CommunicationMode::Broadcast || nonempty {
+        // The balanced path is free for empty input.
+        if per_node.iter().any(|w| !w.is_empty()) {
             let rounds = delivery::allgather_cost(&self.config, self.n, per_node);
             self.ledger.charge(rounds, CostKind::Implemented);
         }
@@ -333,10 +308,8 @@ impl Clique {
     ///
     /// # Errors
     ///
-    /// [`ModelError::BroadcastOnly`] in broadcast mode;
     /// [`ModelError::WrongOutboxCount`] if `per_node.len() != n`.
     pub fn sort(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        delivery::unicast_gate(&self.config)?;
         delivery::check_len(self.n, per_node.len())?;
         if per_node.iter().any(|w| !w.is_empty()) {
             let rounds = delivery::sort_cost(&self.config, self.n, per_node);
@@ -355,7 +328,6 @@ impl Clique {
     /// [`ModelError::InvalidNode`] if `dst` is out of range;
     /// [`ModelError::WrongOutboxCount`] if `per_node.len() != n`.
     pub fn gather_to(&mut self, dst: NodeId, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        delivery::unicast_gate(&self.config)?;
         if dst >= self.n {
             return Err(ModelError::InvalidNode {
                 node: dst,
@@ -648,43 +620,6 @@ mod tests {
             clique.ledger().total_rounds(),
             3 * clique.config().lenzen_rounds
         );
-    }
-
-    #[test]
-    fn broadcast_mode_rejects_unicast_primitives() {
-        let mut clique = Clique::with_config(
-            4,
-            CliqueConfig {
-                mode: CommunicationMode::Broadcast,
-                ..CliqueConfig::default()
-            },
-        );
-        let outboxes = vec![vec![(1, vec![1u64])], vec![], vec![], vec![]];
-        assert_eq!(
-            clique.exchange(outboxes.clone()),
-            Err(ModelError::BroadcastOnly)
-        );
-        assert_eq!(clique.route(outboxes), Err(ModelError::BroadcastOnly));
-        assert_eq!(
-            clique.gather_to(0, &[vec![], vec![1], vec![], vec![]]),
-            Err(ModelError::BroadcastOnly)
-        );
-        assert_eq!(
-            clique.sort(&[vec![1], vec![], vec![], vec![]]),
-            Err(ModelError::BroadcastOnly)
-        );
-        // Broadcast primitives still work, with broadcast-only accounting.
-        clique.broadcast_all(&[1, 2, 3, 4]).unwrap();
-        let before = clique.ledger().total_rounds();
-        clique.broadcast_from(0, &vec![1, 2, 3, 4, 5, 6]).unwrap();
-        assert_eq!(clique.ledger().total_rounds() - before, 6);
-        let before = clique.ledger().total_rounds();
-        let (all, _) = clique
-            .allgather(&[vec![1, 2], vec![3], vec![], vec![4]])
-            .unwrap();
-        assert_eq!(all, vec![1, 2, 3, 4]);
-        // Broadcast allgather: max contribution = 2 rounds.
-        assert_eq!(clique.ledger().total_rounds() - before, 2);
     }
 
     #[test]

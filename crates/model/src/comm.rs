@@ -10,7 +10,8 @@
 //! observability, fault injection, node-level adversaries and the
 //! broadcast-clique restriction (cf. the companion paper
 //! arXiv:2205.12059, which re-targets the same algorithms to the
-//! broadcast clique).
+//! broadcast clique). All four are one generic implementation,
+//! [`crate::Layered`], over a per-wrapper [`crate::Layer`].
 //!
 //! Algorithms are generic over `C: Communicator`; nothing outside
 //! `cc-model` needs to know which substrate is charging the rounds.
@@ -50,10 +51,14 @@ pub fn scoped_phase<C: Communicator, R>(
 /// algorithm code:
 ///
 /// * [`crate::Clique`] — the deterministic simulator;
-/// * [`crate::TracingComm`] — wraps any communicator with a structured
-///   event trace and per-phase congestion statistics;
-/// * [`crate::FaultComm`] — wraps any communicator with deterministic,
-///   seeded fault injection for bandwidth-bound testing.
+/// * [`crate::ThreadedComm`] — the same delivery kernel sharded over a
+///   worker pool, bitwise identical to `Clique`;
+/// * [`crate::Layered`] — a [`crate::Layer`] over any communicator, the
+///   one implementation behind the wrapping transports:
+///   [`crate::TracingComm`] (structured event trace and per-phase
+///   congestion statistics), [`crate::FaultComm`] (deterministic, seeded
+///   fault injection), [`crate::AdversaryComm`] (node-level adversaries)
+///   and [`crate::BroadcastComm`] (the Broadcast Congested Clique).
 ///
 /// # Contract
 ///
@@ -130,6 +135,16 @@ pub trait Communicator {
         0
     }
 
+    /// True if this communicator is (or wraps) the Broadcast Congested
+    /// Clique, i.e. a unicast-shaped message set is attributed as one
+    /// sender broadcasting to the other `n − 1` nodes. Substrates are
+    /// unicast (the default); [`crate::BroadcastComm`] reports `true` and
+    /// [`crate::Layered`] forwards it, so [`crate::TracingComm`] stacked
+    /// anywhere above attributes congestion broadcast-style.
+    fn is_broadcast(&self) -> bool {
+        false
+    }
+
     /// Charges `rounds` rounds for an oracle subroutine that is simulated
     /// rather than executed distributedly (tagged [`CostKind::Charged`];
     /// see `DESIGN.md` §2).
@@ -151,7 +166,8 @@ pub trait Communicator {
     ///
     /// [`ModelError::WrongOutboxCount`] if `outboxes.len() != n`;
     /// [`ModelError::InvalidNode`] on an out-of-range destination;
-    /// [`ModelError::BroadcastOnly`] in broadcast-only substrates.
+    /// [`ModelError::UnicastInBroadcastModel`] in the strict broadcast
+    /// clique.
     fn exchange(
         &mut self,
         outboxes: Vec<Vec<(NodeId, Words)>>,
@@ -239,7 +255,8 @@ pub trait Communicator {
     ///
     /// # Errors
     ///
-    /// [`ModelError::BroadcastOnly`] in broadcast-only substrates.
+    /// [`ModelError::UnicastInBroadcastModel`] in the strict broadcast
+    /// clique.
     fn sort(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError>;
 
     /// Every node sends its word vector to a single destination.

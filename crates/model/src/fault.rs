@@ -28,7 +28,8 @@
 //!   an oversized single message into a panic at the send site, pinning
 //!   the `O(log n)`-bit word discipline.
 
-use crate::{CliqueConfig, Communicator, Envelope, ModelError, NodeId, RoundLedger, Words};
+use crate::layer::{Layer, Layered, Op};
+use crate::{Communicator, ModelError, NodeId, RoundLedger, Words};
 
 /// Configuration of a [`FaultComm`]. The default plan injects nothing.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,7 +37,7 @@ pub struct FaultPlan {
     /// Seed of the deterministic fault stream (SplitMix64).
     pub seed: u64,
     /// Tightened per-call routing budget, as a multiple of `n` (compare
-    /// [`CliqueConfig::routing_capacity_factor`]). `None` leaves the
+    /// [`crate::CliqueConfig::routing_capacity_factor`]). `None` leaves the
     /// substrate's own budget in force (and plain `route`/`exchange`
     /// unchecked).
     pub routing_capacity_factor: Option<usize>,
@@ -86,15 +87,20 @@ impl Default for FaultPlan {
 ///     Err(ModelError::CongestionExceeded { .. })
 /// ));
 /// ```
+pub type FaultComm<C> = Layered<FaultLayer, C>;
+
+/// The [`Layer`] of [`FaultComm`]: the plan, its seeded stream and the
+/// injected-fault count.
 #[derive(Debug, Clone)]
-pub struct FaultComm<C: Communicator> {
-    inner: C,
+pub struct FaultLayer {
     plan: FaultPlan,
     rng_state: u64,
     injected: u64,
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
+/// One step of the SplitMix64 stream behind every seeded draw in this
+/// crate (fault injection, adversarial corruption).
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -102,34 +108,32 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The initial stream state for `seed`: the seed is whitened and one
+/// draw is discarded.
+pub(crate) fn seeded_stream(seed: u64) -> u64 {
+    let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
+    let _ = splitmix64(&mut state);
+    state
+}
+
 impl<C: Communicator> FaultComm<C> {
     /// Wraps `inner` under the given plan.
     pub fn new(inner: C, plan: FaultPlan) -> Self {
-        let mut rng_state = plan.seed ^ 0x9E37_79B9_7F4A_7C15;
-        let _ = splitmix64(&mut rng_state);
-        Self {
-            inner,
+        let layer = FaultLayer {
+            rng_state: seeded_stream(plan.seed),
             plan,
-            rng_state,
             injected: 0,
-        }
-    }
-
-    /// The wrapped communicator.
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-
-    /// Unwraps, discarding the plan.
-    pub fn into_inner(self) -> C {
-        self.inner
+        };
+        Layered::wrap(layer, inner)
     }
 
     /// Number of faults injected so far (forced-phase plus seeded).
     pub fn injected_faults(&self) -> u64 {
-        self.injected
+        self.layer().injected
     }
+}
 
+impl FaultLayer {
     /// An injected fault, distinguishable from a genuine congestion error
     /// by its zero capacity.
     fn injected_error(&mut self) -> ModelError {
@@ -144,8 +148,8 @@ impl<C: Communicator> FaultComm<C> {
 
     /// Checks the forced-phase list and the seeded stream; `Err` if this
     /// call must fail.
-    fn preflight(&mut self) -> Result<(), ModelError> {
-        let phase = self.inner.ledger().current_phase();
+    fn preflight(&mut self, ledger: &RoundLedger) -> Result<(), ModelError> {
+        let phase = ledger.current_phase();
         if self
             .plan
             .fail_phases
@@ -163,8 +167,12 @@ impl<C: Communicator> FaultComm<C> {
         Ok(())
     }
 
-    fn assert_payload(&self, words: usize) {
-        if let Some(max) = self.plan.max_message_words {
+    /// Asserts every message payload size against the plan's budget.
+    fn check_payloads(&self, sizes: impl IntoIterator<Item = usize>) {
+        let Some(max) = self.plan.max_message_words else {
+            return;
+        };
+        for words in sizes {
             assert!(
                 words <= max,
                 "fault plan violated: message of {words} words exceeds the \
@@ -173,23 +181,12 @@ impl<C: Communicator> FaultComm<C> {
         }
     }
 
-    fn check_outbox_payloads(&self, outboxes: &[Vec<(NodeId, Words)>]) {
-        if self.plan.max_message_words.is_some() {
-            for per_node in outboxes {
-                for (_, payload) in per_node {
-                    self.assert_payload(payload.len());
-                }
-            }
-        }
-    }
-
     /// Tightened per-call budget check (send and receive loads against
     /// `routing_capacity_factor · n`).
-    fn check_budget(&self, outboxes: &[Vec<(NodeId, Words)>]) -> Result<(), ModelError> {
+    fn check_budget(&self, n: usize, outboxes: &[Vec<(NodeId, Words)>]) -> Result<(), ModelError> {
         let Some(factor) = self.plan.routing_capacity_factor else {
             return Ok(());
         };
-        let n = self.inner.n();
         let cap = factor * n;
         let mut send = vec![0usize; n];
         let mut recv = vec![0usize; n];
@@ -223,122 +220,31 @@ impl<C: Communicator> FaultComm<C> {
     }
 }
 
-impl<C: Communicator> Communicator for FaultComm<C> {
-    fn n(&self) -> usize {
-        self.inner.n()
-    }
-
-    fn config(&self) -> CliqueConfig {
-        self.inner.config()
-    }
-
-    fn ledger(&self) -> &RoundLedger {
-        self.inner.ledger()
-    }
-
-    fn ledger_mut(&mut self) -> &mut RoundLedger {
-        self.inner.ledger_mut()
+impl Layer for FaultLayer {
+    /// One preflight draw per data primitive (never on charges or
+    /// phases), then the payload assertions and, for point-to-point
+    /// message sets, the tightened budget.
+    fn before<C: Communicator>(&mut self, inner: &C, op: &mut Op<'_>) -> Result<(), ModelError> {
+        self.preflight(inner.ledger())?;
+        match op {
+            Op::Exchange(o) | Op::Route(o) | Op::RouteStrict(o) => {
+                self.check_payloads(o.iter().flatten().map(|(_, p)| p.len()));
+                self.check_budget(inner.n(), o)
+            }
+            Op::BroadcastFrom(_, words) => {
+                self.check_payloads([words.len()]);
+                Ok(())
+            }
+            Op::BroadcastAllWords(rows) | Op::Allgather(rows) | Op::GatherTo(_, rows) => {
+                self.check_payloads(rows.iter().map(Vec::len));
+                Ok(())
+            }
+            Op::BroadcastAll(_) | Op::BroadcastAllInto(..) | Op::Sort(_) => Ok(()),
+        }
     }
 
     fn faults_observed(&self) -> u64 {
-        self.injected + self.inner.faults_observed()
-    }
-
-    fn push_phase(&mut self, name: &str) {
-        self.inner.push_phase(name);
-    }
-
-    fn pop_phase(&mut self) {
-        self.inner.pop_phase();
-    }
-
-    fn charge_oracle(&mut self, rounds: u64) {
-        self.inner.charge_oracle(rounds);
-    }
-
-    fn charge_implemented(&mut self, rounds: u64) {
-        self.inner.charge_implemented(rounds);
-    }
-
-    fn exchange(
-        &mut self,
-        outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        self.preflight()?;
-        self.check_outbox_payloads(&outboxes);
-        self.check_budget(&outboxes)?;
-        self.inner.exchange(outboxes)
-    }
-
-    fn route(
-        &mut self,
-        outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        self.preflight()?;
-        self.check_outbox_payloads(&outboxes);
-        self.check_budget(&outboxes)?;
-        self.inner.route(outboxes)
-    }
-
-    fn route_strict(
-        &mut self,
-        outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        self.preflight()?;
-        self.check_outbox_payloads(&outboxes);
-        self.check_budget(&outboxes)?;
-        self.inner.route_strict(outboxes)
-    }
-
-    fn broadcast_all(&mut self, values: &[u64]) -> Result<Vec<u64>, ModelError> {
-        self.preflight()?;
-        self.inner.broadcast_all(values)
-    }
-
-    fn broadcast_all_into(&mut self, values: &[u64], out: &mut Vec<u64>) -> Result<(), ModelError> {
-        self.preflight()?;
-        self.inner.broadcast_all_into(values, out)
-    }
-
-    fn broadcast_all_words(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        self.preflight()?;
-        if self.plan.max_message_words.is_some() {
-            for words in per_node {
-                self.assert_payload(words.len());
-            }
-        }
-        self.inner.broadcast_all_words(per_node)
-    }
-
-    fn broadcast_from(&mut self, src: NodeId, words: &Words) -> Result<Words, ModelError> {
-        self.preflight()?;
-        self.assert_payload(words.len());
-        self.inner.broadcast_from(src, words)
-    }
-
-    fn allgather(&mut self, per_node: &[Words]) -> Result<(Words, Vec<usize>), ModelError> {
-        self.preflight()?;
-        if self.plan.max_message_words.is_some() {
-            for words in per_node {
-                self.assert_payload(words.len());
-            }
-        }
-        self.inner.allgather(per_node)
-    }
-
-    fn sort(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        self.preflight()?;
-        self.inner.sort(per_node)
-    }
-
-    fn gather_to(&mut self, dst: NodeId, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        self.preflight()?;
-        if self.plan.max_message_words.is_some() {
-            for words in per_node {
-                self.assert_payload(words.len());
-            }
-        }
-        self.inner.gather_to(dst, per_node)
+        self.injected
     }
 }
 

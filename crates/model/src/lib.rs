@@ -50,24 +50,27 @@ pub mod delivery;
 mod encode;
 mod error;
 mod fault;
+mod layer;
 mod ledger;
 mod threaded;
 mod trace;
 
 pub use adversary::{
-    AdversaryAction, AdversaryComm, AdversaryEvent, AdversarySchedule, AdversaryStrategy,
+    AdversaryAction, AdversaryComm, AdversaryEvent, AdversaryLayer, AdversarySchedule,
+    AdversaryStrategy,
 };
-pub use broadcast::{BroadcastComm, BroadcastMode};
-pub use clique::{Clique, CliqueConfig, CommunicationMode, Envelope};
+pub use broadcast::{BroadcastComm, BroadcastLayer, BroadcastMode};
+pub use clique::{Clique, CliqueConfig, Envelope};
 pub use comm::{scoped_phase, Communicator};
 pub use encode::{
     decode_f64, decode_f64_fixed, decode_i64, encode_f64, encode_f64_fixed, encode_i64,
 };
 pub use error::ModelError;
-pub use fault::{FaultComm, FaultPlan};
+pub use fault::{FaultComm, FaultLayer, FaultPlan};
+pub use layer::{Layer, Layered, Op, Reply};
 pub use ledger::{CostKind, PhaseCost, RoundLedger};
 pub use threaded::ThreadedComm;
-pub use trace::{PhaseTrace, TraceEvent, TracingComm, TRACE_HIST_BUCKETS};
+pub use trace::{PhaseTrace, TraceEvent, TraceLayer, TracingComm, TRACE_HIST_BUCKETS};
 
 /// Identifier of a node (processor) of the clique; ranges over `0..n`.
 pub type NodeId = usize;

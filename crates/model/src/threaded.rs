@@ -39,15 +39,13 @@
 //! shard arriving twice) also fails loudly rather than corrupting a later
 //! round.
 
+use crate::layer::Outboxes;
 use crate::{
     delivery, Clique, CliqueConfig, Communicator, CostKind, Envelope, ModelError, NodeId,
     RoundLedger, Words,
 };
 use cc_par::{Job, WorkerPool};
 use std::sync::{Arc, Mutex};
-
-/// Per-source outboxes: `outboxes[src][i] = (dst, words)`.
-type Outboxes = Vec<Vec<(NodeId, Words)>>;
 
 /// What a round's merge yields: (exchange max, per-source send loads,
 /// per-destination receive loads, length-`n` inboxes).
@@ -262,7 +260,6 @@ impl Communicator for ThreadedComm {
         &mut self,
         outboxes: Vec<Vec<(NodeId, Words)>>,
     ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        delivery::unicast_gate(&self.config())?;
         delivery::check_len(self.n(), outboxes.len())?;
         let reports = self.sharded_round(outboxes);
         let (max_pair, _, _, inboxes) = self.merge(reports)?;
@@ -276,7 +273,6 @@ impl Communicator for ThreadedComm {
         &mut self,
         outboxes: Vec<Vec<(NodeId, Words)>>,
     ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        delivery::unicast_gate(&self.config())?;
         delivery::check_len(self.n(), outboxes.len())?;
         let reports = self.sharded_round(outboxes);
         let (_, send, recv, inboxes) = self.merge(reports)?;
@@ -293,13 +289,11 @@ impl Communicator for ThreadedComm {
         outboxes: Vec<Vec<(NodeId, Words)>>,
     ) -> Result<Vec<Vec<Envelope>>, ModelError> {
         // Mirrors `Clique::route_strict` exactly: structural checks, then
-        // the strict budget scan, then the batching route path (which in
-        // broadcast mode surfaces BroadcastOnly *after* the budget scan).
+        // the strict budget scan, then the batching route path.
         delivery::check_len(self.n(), outboxes.len())?;
         let reports = self.sharded_round(outboxes);
         let (_, send, recv, inboxes) = self.merge(reports)?;
         delivery::strict_violation(&self.config(), self.n(), &send, &recv)?;
-        delivery::unicast_gate(&self.config())?;
         let load = send.iter().chain(recv.iter()).copied().max().unwrap_or(0);
         if load > 0 {
             let rounds = delivery::route_cost(&self.config(), self.n(), load);

@@ -17,9 +17,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::{
-    CliqueConfig, CommunicationMode, Communicator, Envelope, ModelError, NodeId, RoundLedger, Words,
-};
+use crate::layer::{Layer, Layered, Op};
+use crate::{Communicator, CostKind, ModelError, NodeId, RoundLedger, Words};
 
 /// Number of buckets of the per-message word-count histogram: bucket 0
 /// holds empty payloads, bucket `k ≥ 1` holds sizes in
@@ -101,6 +100,20 @@ impl Default for PhaseTrace {
     }
 }
 
+/// The [`Layer`] of [`TracingComm`]: the recorded events and per-phase
+/// aggregates. It observes ledger deltas and never charges rounds.
+#[derive(Debug, Clone, Default)]
+pub struct TraceLayer {
+    events: Vec<TraceEvent>,
+    phases: BTreeMap<String, PhaseTrace>,
+    max_pair_words: u64,
+    max_node_send: u64,
+    max_node_recv: u64,
+    /// Payload statistics of the call in flight, computed from its
+    /// arguments by [`Layer::before`] and recorded by [`Layer::after`].
+    pending: (CallStats, Vec<usize>),
+}
+
 /// A [`Communicator`] decorator recording a structured trace.
 ///
 /// # Payload-statistics conventions
@@ -134,15 +147,7 @@ impl Default for PhaseTrace {
 /// assert!(trace.contains("\"phase\": \"demo\""));
 /// assert_eq!(comm.ledger().total_rounds(), 1);
 /// ```
-#[derive(Debug, Clone)]
-pub struct TracingComm<C: Communicator> {
-    inner: C,
-    events: Vec<TraceEvent>,
-    phases: BTreeMap<String, PhaseTrace>,
-    max_pair_words: u64,
-    max_node_send: u64,
-    max_node_recv: u64,
-}
+pub type TracingComm<C> = Layered<TraceLayer, C>;
 
 fn outbox_stats(n: usize, outboxes: &[Vec<(NodeId, Words)>]) -> (CallStats, Vec<usize>) {
     let mut stats = CallStats::default();
@@ -204,15 +209,17 @@ fn broadcast_outbox_stats(outboxes: &[Vec<(NodeId, Words)>]) -> (CallStats, Vec<
     (stats, sizes)
 }
 
-fn vector_stats(per_node: &[Words]) -> (CallStats, Vec<usize>) {
+/// Statistics of per-node word vectors of the given lengths, each
+/// broadcast to (or gathered by) everyone.
+fn vector_stats(lens: impl IntoIterator<Item = usize>) -> (CallStats, Vec<usize>) {
     let mut stats = CallStats::default();
     let mut sizes = Vec::new();
-    for words in per_node {
-        if !words.is_empty() {
+    for len in lens {
+        if len > 0 {
             stats.messages += 1;
-            sizes.push(words.len());
+            sizes.push(len);
         }
-        let w = words.len() as u64;
+        let w = len as u64;
         stats.words += w;
         stats.max_pair_words = stats.max_pair_words.max(w);
         stats.max_node_send = stats.max_node_send.max(w);
@@ -221,7 +228,9 @@ fn vector_stats(per_node: &[Words]) -> (CallStats, Vec<usize>) {
     (stats, sizes)
 }
 
-fn json_escape(s: &str) -> String {
+/// Escapes `s` as the body of a JSON string (the trace and adversary
+/// exports share it).
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -235,69 +244,16 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-impl<C: Communicator> TracingComm<C> {
-    /// Wraps `inner`; the trace starts empty.
-    pub fn new(inner: C) -> Self {
-        Self {
-            inner,
-            events: Vec::new(),
-            phases: BTreeMap::new(),
-            max_pair_words: 0,
-            max_node_send: 0,
-            max_node_recv: 0,
-        }
-    }
-
-    /// The wrapped communicator.
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
-
-    /// Unwraps, discarding the trace.
-    pub fn into_inner(self) -> C {
-        self.inner
-    }
-
-    /// The recorded events, in call order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// Per-phase aggregates, keyed by `/`-joined phase path (the empty
-    /// key is the top level).
-    pub fn phases(&self) -> &BTreeMap<String, PhaseTrace> {
-        &self.phases
-    }
-
-    /// Maximum words observed on one ordered pair in any single call.
-    pub fn max_pair_words(&self) -> u64 {
-        self.max_pair_words
-    }
-
-    /// Maximum per-node send load observed in any single call.
-    pub fn max_node_send(&self) -> u64 {
-        self.max_node_send
-    }
-
-    /// Maximum per-node receive load observed in any single call.
-    pub fn max_node_recv(&self) -> u64 {
-        self.max_node_recv
-    }
-
-    /// Congestion attribution for a unicast-shaped outbox set: per-pair
-    /// in unicast substrates, one-sender-to-`n − 1`-receivers when the
-    /// wrapped substrate reports broadcast mode (e.g.
-    /// [`crate::BroadcastComm`] in measured mode).
-    fn outbox_call_stats(&self, outboxes: &[Vec<(NodeId, Words)>]) -> (CallStats, Vec<usize>) {
-        if self.inner.config().mode == CommunicationMode::Broadcast {
-            broadcast_outbox_stats(outboxes)
-        } else {
-            outbox_stats(self.inner.n(), outboxes)
-        }
-    }
-
-    fn record(&mut self, primitive: &'static str, stats: CallStats, sizes: &[usize], rounds: u64) {
-        let phase = self.inner.ledger().current_phase().to_string();
+impl TraceLayer {
+    fn record(
+        &mut self,
+        ledger: &RoundLedger,
+        primitive: &'static str,
+        stats: CallStats,
+        sizes: &[usize],
+        rounds: u64,
+    ) {
+        let phase = ledger.current_phase().to_string();
         self.max_pair_words = self.max_pair_words.max(stats.max_pair_words);
         self.max_node_send = self.max_node_send.max(stats.max_node_send);
         self.max_node_recv = self.max_node_recv.max(stats.max_node_recv);
@@ -321,32 +277,107 @@ impl<C: Communicator> TracingComm<C> {
             words: stats.words,
         });
     }
+}
 
-    fn traced<T>(
-        &mut self,
-        primitive: &'static str,
-        stats: CallStats,
-        sizes: Vec<usize>,
-        run: impl FnOnce(&mut C) -> T,
-    ) -> T {
-        let before = self.inner.ledger().total_rounds();
-        let out = run(&mut self.inner);
-        let rounds = self.inner.ledger().total_rounds() - before;
-        self.record(primitive, stats, &sizes, rounds);
-        out
+impl Layer for TraceLayer {
+    /// Computes the call's logical payload statistics from its arguments
+    /// (see [`TracingComm`] for the conventions). A unicast-shaped outbox
+    /// set is attributed per pair, or one sender to `n − 1` receivers when
+    /// the wrapped substrate [is broadcast](Communicator::is_broadcast).
+    fn before<C: Communicator>(&mut self, inner: &C, op: &mut Op<'_>) -> Result<(), ModelError> {
+        self.pending = match op {
+            Op::Exchange(o) | Op::Route(o) | Op::RouteStrict(o) => {
+                if inner.is_broadcast() {
+                    broadcast_outbox_stats(o)
+                } else {
+                    outbox_stats(inner.n(), o)
+                }
+            }
+            Op::BroadcastAll(values) | Op::BroadcastAllInto(values, _) => {
+                let stats = CallStats {
+                    messages: values.len() as u64,
+                    words: values.len() as u64,
+                    max_pair_words: 1,
+                    max_node_send: 1,
+                    max_node_recv: values.len() as u64,
+                };
+                (stats, vec![1; values.len()])
+            }
+            Op::BroadcastFrom(_, words) => vector_stats([words.len()]),
+            Op::BroadcastAllWords(rows)
+            | Op::Allgather(rows)
+            | Op::Sort(rows)
+            | Op::GatherTo(_, rows) => vector_stats(rows.iter().map(Vec::len)),
+        };
+        Ok(())
+    }
+
+    fn after(&mut self, ledger: &RoundLedger, primitive: &'static str, rounds: u64) {
+        let (stats, sizes) = std::mem::take(&mut self.pending);
+        self.record(ledger, primitive, stats, &sizes, rounds);
+    }
+
+    fn charged(&mut self, ledger: &RoundLedger, kind: CostKind, rounds: u64) {
+        let primitive = match kind {
+            CostKind::Charged => "charge_oracle",
+            CostKind::Implemented => "charge_implemented",
+        };
+        self.record(ledger, primitive, CallStats::default(), &[], rounds);
+    }
+
+    fn phase_entered(&mut self, ledger: &RoundLedger) {
+        self.record(ledger, "phase_enter", CallStats::default(), &[], 0);
+    }
+
+    fn phase_exiting(&mut self, ledger: &RoundLedger) {
+        self.record(ledger, "phase_exit", CallStats::default(), &[], 0);
+    }
+}
+
+impl<C: Communicator> TracingComm<C> {
+    /// Wraps `inner`; the trace starts empty.
+    pub fn new(inner: C) -> Self {
+        Layered::wrap(TraceLayer::default(), inner)
+    }
+
+    /// The recorded events, in call order.
+    pub fn events(&self) -> &[TraceEvent] {
+        &self.layer().events
+    }
+
+    /// Per-phase aggregates, keyed by `/`-joined phase path (the empty
+    /// key is the top level).
+    pub fn phases(&self) -> &BTreeMap<String, PhaseTrace> {
+        &self.layer().phases
+    }
+
+    /// Maximum words observed on one ordered pair in any single call.
+    pub fn max_pair_words(&self) -> u64 {
+        self.layer().max_pair_words
+    }
+
+    /// Maximum per-node send load observed in any single call.
+    pub fn max_node_send(&self) -> u64 {
+        self.layer().max_node_send
+    }
+
+    /// Maximum per-node receive load observed in any single call.
+    pub fn max_node_recv(&self) -> u64 {
+        self.layer().max_node_recv
     }
 
     /// Serializes the per-phase aggregates and global congestion maxima
     /// as deterministic JSON (no events; suitable for `BENCH_*.json`).
     pub fn congestion_json(&self) -> String {
+        let t = self.layer();
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str(&format!(
             "  \"max_pair_words\": {},\n  \"max_node_send\": {},\n  \"max_node_recv\": {},\n",
-            self.max_pair_words, self.max_node_send, self.max_node_recv
+            t.max_pair_words, t.max_node_send, t.max_node_recv
         ));
         out.push_str("  \"phases\": [\n");
-        let rows: Vec<String> = self
+        let rows: Vec<String> = t
             .phases
             .iter()
             .map(|(name, p)| {
@@ -383,11 +414,11 @@ impl<C: Communicator> TracingComm<C> {
     /// runs of a deterministic workload, so exact-match snapshots are
     /// safe).
     pub fn trace_json(&self) -> String {
-        let ledger = self.inner.ledger();
+        let ledger = self.ledger();
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str("  \"schema\": \"cc-model/trace-v1\",\n");
-        out.push_str(&format!("  \"n\": {},\n", self.inner.n()));
+        out.push_str(&format!("  \"n\": {},\n", self.n()));
         out.push_str(&format!(
             "  \"total_rounds\": {},\n  \"implemented_rounds\": {},\n  \"charged_rounds\": {},\n",
             ledger.total_rounds(),
@@ -410,6 +441,7 @@ impl<C: Communicator> TracingComm<C> {
         out.push_str(&format!("  \"congestion\": {congestion},\n"));
         out.push_str("  \"events\": [\n");
         let rows: Vec<String> = self
+            .layer()
             .events
             .iter()
             .map(|e| {
@@ -428,130 +460,6 @@ impl<C: Communicator> TracingComm<C> {
         out.push_str(&rows.join(",\n"));
         out.push_str("\n  ]\n}\n");
         out
-    }
-}
-
-impl<C: Communicator> Communicator for TracingComm<C> {
-    fn n(&self) -> usize {
-        self.inner.n()
-    }
-
-    fn config(&self) -> CliqueConfig {
-        self.inner.config()
-    }
-
-    fn ledger(&self) -> &RoundLedger {
-        self.inner.ledger()
-    }
-
-    fn ledger_mut(&mut self) -> &mut RoundLedger {
-        self.inner.ledger_mut()
-    }
-
-    fn faults_observed(&self) -> u64 {
-        self.inner.faults_observed()
-    }
-
-    fn push_phase(&mut self, name: &str) {
-        self.inner.push_phase(name);
-        self.record("phase_enter", CallStats::default(), &[], 0);
-    }
-
-    fn pop_phase(&mut self) {
-        self.record("phase_exit", CallStats::default(), &[], 0);
-        self.inner.pop_phase();
-    }
-
-    fn charge_oracle(&mut self, rounds: u64) {
-        self.traced("charge_oracle", CallStats::default(), Vec::new(), |c| {
-            c.charge_oracle(rounds)
-        })
-    }
-
-    fn charge_implemented(&mut self, rounds: u64) {
-        self.traced(
-            "charge_implemented",
-            CallStats::default(),
-            Vec::new(),
-            |c| c.charge_implemented(rounds),
-        )
-    }
-
-    fn exchange(
-        &mut self,
-        outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        let (stats, sizes) = self.outbox_call_stats(&outboxes);
-        self.traced("exchange", stats, sizes, |c| c.exchange(outboxes))
-    }
-
-    fn route(
-        &mut self,
-        outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        let (stats, sizes) = self.outbox_call_stats(&outboxes);
-        self.traced("route", stats, sizes, |c| c.route(outboxes))
-    }
-
-    fn route_strict(
-        &mut self,
-        outboxes: Vec<Vec<(NodeId, Words)>>,
-    ) -> Result<Vec<Vec<Envelope>>, ModelError> {
-        let (stats, sizes) = self.outbox_call_stats(&outboxes);
-        self.traced("route_strict", stats, sizes, |c| c.route_strict(outboxes))
-    }
-
-    fn broadcast_all(&mut self, values: &[u64]) -> Result<Vec<u64>, ModelError> {
-        let stats = CallStats {
-            messages: values.len() as u64,
-            words: values.len() as u64,
-            max_pair_words: 1,
-            max_node_send: 1,
-            max_node_recv: values.len() as u64,
-        };
-        let sizes = vec![1; values.len()];
-        self.traced("broadcast_all", stats, sizes, |c| c.broadcast_all(values))
-    }
-
-    fn broadcast_all_words(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        let (stats, sizes) = vector_stats(per_node);
-        self.traced("broadcast_all_words", stats, sizes, |c| {
-            c.broadcast_all_words(per_node)
-        })
-    }
-
-    fn broadcast_from(&mut self, src: NodeId, words: &Words) -> Result<Words, ModelError> {
-        let w = words.len() as u64;
-        let stats = CallStats {
-            messages: u64::from(w > 0),
-            words: w,
-            max_pair_words: w,
-            max_node_send: w,
-            max_node_recv: w,
-        };
-        let sizes = if words.is_empty() {
-            Vec::new()
-        } else {
-            vec![words.len()]
-        };
-        self.traced("broadcast_from", stats, sizes, |c| {
-            c.broadcast_from(src, words)
-        })
-    }
-
-    fn allgather(&mut self, per_node: &[Words]) -> Result<(Words, Vec<usize>), ModelError> {
-        let (stats, sizes) = vector_stats(per_node);
-        self.traced("allgather", stats, sizes, |c| c.allgather(per_node))
-    }
-
-    fn sort(&mut self, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        let (stats, sizes) = vector_stats(per_node);
-        self.traced("sort", stats, sizes, |c| c.sort(per_node))
-    }
-
-    fn gather_to(&mut self, dst: NodeId, per_node: &[Words]) -> Result<Vec<Words>, ModelError> {
-        let (stats, sizes) = vector_stats(per_node);
-        self.traced("gather_to", stats, sizes, |c| c.gather_to(dst, per_node))
     }
 }
 
@@ -657,8 +565,8 @@ mod tests {
             (2, 3, 2)
         );
 
-        // Broadcast attribution (auto-detected from the wrapped
-        // substrate's config): node 0's 3 words go to every other node,
+        // Broadcast attribution (auto-detected through the wrapped
+        // substrate's `is_broadcast`): node 0's 3 words go to every other node,
         // so pair load = send load = 3 and every node hears all 4 words.
         let mut traced = TracingComm::new(BroadcastComm::measured(Clique::new(4)));
         traced.phase("bcast", |c| c.exchange(outboxes).unwrap());

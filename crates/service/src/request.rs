@@ -44,6 +44,14 @@ pub enum Request {
     /// holding NaN or ±∞ is refused as a bad request, charging no rounds.
     /// Batchable: same-graph, same-`eps` solves submitted together are
     /// admitted as one `solve_multi_into` call.
+    ///
+    /// The answer is `x = L†b`: the solver first projects `b` onto
+    /// `range(L)` by removing its mean on each connected component. So
+    /// `L x = b` holds only when `b` sums to zero on every component; on
+    /// a disconnected graph with a `b` that does not, `L x` is the
+    /// per-component-projected `b`, not `b`. Such a `b` is answered, not
+    /// refused: a tolerance test on the per-component sums could refuse
+    /// right-hand sides that sum to zero only up to rounding.
     LaplacianSolve {
         /// Registered undirected graph.
         graph: String,
@@ -120,7 +128,8 @@ pub enum Response {
     /// [`Request::LaplacianSolve`]: the potential vector and the
     /// Chebyshev iterations (= broadcast rounds) the solve used.
     Potentials {
-        /// Solution `x` (kernel-free per connected component).
+        /// Solution `x = L†b`: zero mean on each connected component, and
+        /// `L x` is `b` with each component's mean removed.
         x: Vec<f64>,
         /// Chebyshev iterations spent.
         iterations: usize,

@@ -127,6 +127,58 @@ fn resistance_across_components_is_infinite() {
     assert_eq!(iterations, SAME_COMPONENT_ITERATIONS);
 }
 
+/// A `b` that sums to zero overall but not per component is answered,
+/// not refused: the response is `L†b`, so `L x` is `b` with each
+/// component's mean removed (the projection `Request::LaplacianSolve`
+/// documents), not `b` itself.
+#[test]
+fn disconnected_rhs_is_projected_per_component() {
+    // Two disjoint unit 3-paths: {0, 1, 2} and {3, 4, 5}.
+    let edges = [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)];
+    let mut engine = FlowEngine::new(Clique::new(6));
+    engine.register("paths", GraphSpec::Undirected(Graph::from_edges(6, &edges)));
+    let eps = 1e-8;
+    let mut b = vec![0.0; 6];
+    b[0] = 1.0;
+    b[4] = -1.0;
+    let out = engine
+        .submit(Request::LaplacianSolve {
+            graph: "paths".into(),
+            b: b.clone(),
+            eps,
+        })
+        .expect("a per-component nonzero-sum b is answered, not refused");
+    let Response::Potentials { x, .. } = out.response else {
+        panic!("expected potentials, got {:?}", out.response);
+    };
+
+    let mut projected = b.clone();
+    for component in [[0, 1, 2], [3, 4, 5]] {
+        let mean = component.iter().map(|&v| b[v]).sum::<f64>() / 3.0;
+        for &v in &component {
+            projected[v] -= mean;
+        }
+        let sum: f64 = component.iter().map(|&v| x[v]).sum();
+        assert!(sum.abs() < 1e-12, "x sums to {sum} on {component:?}");
+    }
+    let mut lx = vec![0.0; 6];
+    for &(u, v, w) in &edges {
+        let flow = w * (x[u] - x[v]);
+        lx[u] += flow;
+        lx[v] -= flow;
+    }
+    // ‖x − L†b‖_L ≤ ε‖L†b‖_L bounds the residual ‖L x − Pb‖₂ by
+    // ε·√(λ_max/λ_2)·‖Pb‖₂; a unit 3-path has λ ∈ {1, 3}, so 2ε‖Pb‖₂.
+    let tol = 2.0 * eps * projected.iter().map(|p| p * p).sum::<f64>().sqrt();
+    for v in 0..6 {
+        assert!(
+            (lx[v] - projected[v]).abs() <= tol,
+            "L x = {lx:?}, projected b = {projected:?}"
+        );
+    }
+    assert!((lx[0] - b[0]).abs() > 0.3, "L x is not b: {lx:?}");
+}
+
 /// `R_eff(0, 2) = 2` on a unit 3-path, as the solver computes it (one
 /// Chebyshev iteration, within one ulp of the exact value).
 const SAME_COMPONENT_BITS: u64 = 0x3fff_ffff_ffff_ffff;

@@ -5,17 +5,11 @@
 //! paper's remark that orientations "seem to be a hard problem in the
 //! Broadcast Congested Clique".
 
-use laplacian_clique::model::{CliqueConfig, CommunicationMode};
+use laplacian_clique::model::{BroadcastComm, Communicator};
 use laplacian_clique::prelude::*;
 
-fn broadcast_clique(n: usize) -> Clique {
-    Clique::with_config(
-        n,
-        CliqueConfig {
-            mode: CommunicationMode::Broadcast,
-            ..CliqueConfig::default()
-        },
-    )
+fn broadcast_clique(n: usize) -> BroadcastComm<Clique> {
+    BroadcastComm::strict(Clique::new(n))
 }
 
 /// Theorem 1.1 runs verbatim under broadcast-only communication, with the
@@ -52,9 +46,9 @@ fn electrical_flows_work_in_broadcast_mode() {
     assert!((r - 15.0).abs() < 1e-7, "series chain resistance, got {r}");
 }
 
-/// The Eulerian orientation fails with a typed error (through the routing
-/// layer's `BroadcastOnly` rejection) in broadcast mode — the §1.1
-/// hardness remark made operational.
+/// The Eulerian orientation fails with a typed error (through the strict
+/// broadcast clique's `UnicastInBroadcastModel` rejection of routing) in
+/// broadcast mode — the §1.1 hardness remark made operational.
 #[test]
 fn eulerian_orientation_cannot_run_in_broadcast_mode() {
     let g = generators::random_eulerian(12, 3, 1);
